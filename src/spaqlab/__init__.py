@@ -1,59 +1,9 @@
 """spaqlab: CB-level perceptual quantization (SPAQ) vs a uniform-QP
 anchor inside a small transform-coding pipeline for RGB 4:4:4 video."""
 
-from .codec_sim import (
-    EncodedFrame,
-    bit_cost,
-    dct2,
-    dequantize,
-    encode_frame,
-    idct2,
-    quantize,
-)
-from .experiment import (
-    ExperimentConfig,
-    ExperimentReport,
-    RunRecord,
-    emit,
-    gen_synthetic,
-    run,
-)
-from .motion_model import (
-    MotionField,
-    MotionVector,
-    block_match,
-    estimate_motion_field,
-    frame_mean_magnitude,
-    mv_magnitude,
-    temporal_offset_br,
-    temporal_offset_g,
-)
-from .partitioner import BlockGrid, BlockRef, build_grid, pad_plane, sub_blocks
-from .qp_model import (
-    ClampScope,
-    QpConstants,
-    QpMap,
-    build_qp_map,
-    cb_qp,
-    perceptual_offset,
-    qp_to_qstep,
-    uniform_qp_map,
-)
-from .quality_metrics import (
-    MetricReport,
-    pct_reduction,
-    psnr,
-    ssim_global,
-    ssim_plane,
-)
-from .spatial_activity import (
-    ActivityMap,
-    cb_activity,
-    compute_activity_map,
-    frame_mean_activity,
-    normalized_activity,
-    sub_block_variance,
-)
-from .video_io import Frame, RawFormatError, Sequence, load_raw, write_raw
+from .experiment import ExperimentConfig, gen_synthetic, run
+from .video_io import RawFormatError, load_raw, write_raw
 
+__all__ = ["ExperimentConfig", "RawFormatError", "gen_synthetic", "load_raw",
+           "run", "write_raw"]
 __version__ = "0.1.0"

@@ -96,7 +96,7 @@ def main(argv=None) -> int:
     except (RawFormatError, OSError, ValueError) as exc:
         print(f"spaqlab: error: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {len(report.records)} records to {cfg.out_dir}")
+    print(f"wrote {len(report.cells)} records to {cfg.out_dir}")
     return 0
 
 

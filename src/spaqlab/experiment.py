@@ -27,8 +27,8 @@ import numpy as np
 from .codec_sim import INTER_DEADZONE, INTRA_DEADZONE, encode_frame
 from .motion_model import estimate_motion_field
 from .partitioner import build_grid, pad_plane
-from .qp_model import ClampScope, QpConstants, build_qp_map, uniform_qp_map
-from .quality_metrics import MetricReport, mse_to_psnr, ssim_global
+from .qp_model import ClampScope, build_qp_map, uniform_qp_map
+from .quality_metrics import mse_to_psnr, pct_delta, ssim_global
 from .spatial_activity import DEFAULT_SCALE, compute_activity_map
 from .video_io import CHANNELS, G, SUPPORTED_BIT_DEPTHS, Frame, Sequence, load_raw
 
@@ -88,13 +88,16 @@ class ExperimentConfig:
         if not self.qps:
             raise ValueError("at least one QP is required")
         for qp in self.qps:
-            if not 0 <= qp <= 51:
-                raise ValueError(f"QP {qp} outside [0, 51]")
+            if qp != int(qp) or not 0 <= qp <= 51:
+                raise ValueError(f"QP {qp} is not an integer in [0, 51]")
         if not self.modes:
             raise ValueError("at least one mode is required")
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")
+        if (len(set(self.qps)) < len(self.qps)
+                or len(set(self.modes)) < len(self.modes)):
+            raise ValueError("a QP or mode is listed twice")
         if self.cb_depth not in (0, 1, 2):
             raise ValueError("cb_depth must be 0, 1 or 2")
         if self.search_range < 0:
@@ -205,24 +208,47 @@ def gen_synthetic(kind: str, width: int = 128, height: int = 128,
 
 @dataclass
 class CellResult:
-    """Raw outcome of coding one sequence in one (mode, QP) cell."""
+    """One (mode, QP) cell: the coded outcome and its deltas vs the anchor.
+
+    run_cell fills in everything but the pct_* fields, which run() sets
+    once the anchor cell at the same QP is known. psnr_db, mse and the
+    pct_psnr_* tuples are per channel (G, B, R); mse is pooled over frames.
+    """
 
     mode: str
     qp: int
     bits: int
     channel_bits: tuple
-    frame_bits: list
     mse: tuple
+    psnr_db: tuple
     ssim: float
+    frame_bits: list
     qp_maps: list
     qp_histograms: list
     recons: list
+    pct_bits: float | None = None
+    pct_psnr_db: tuple = ()
+    pct_psnr_mse: tuple = ()
+
+    def set_deltas(self, anchor: "CellResult") -> None:
+        """Signed percentage changes against the anchor cell.
+
+        PSNR deltas are reported both on dB values and on the underlying
+        MSE, since the two conventions tell different stories.
+        """
+        self.pct_bits = pct_delta(anchor.bits, self.bits)
+        self.pct_psnr_db = tuple(map(pct_delta, anchor.psnr_db, self.psnr_db))
+        self.pct_psnr_mse = tuple(map(pct_delta, anchor.mse, self.mse))
 
 
 def run_cell(seq: Sequence, grid, mode: str, base_qp: int,
              cfg: ExperimentConfig) -> CellResult:
-    """Code a whole sequence in one mode at one base QP."""
-    constants = QpConstants()
+    """Code a whole sequence in one mode at one base QP.
+
+    With cfg.v_source "previous", the temporal offsets of frame n are
+    thresholded against the mean magnitude of frame n-1; frame 1 has no
+    earlier motion field, so it falls back to its own mean.
+    """
     scope = ClampScope(cfg.clamp_scope)
     base_qps = [base_qp + cfg.channel_qp_offsets[ch] for ch in range(3)]
     use_spatial = mode in ("spaq", "spatial-only")
@@ -262,7 +288,7 @@ def run_cell(seq: Sequence, grid, mode: str, base_qp: int,
                 mags, vmean = None, 0.0
             qmap = build_qp_map(n, base_qps, grid.n_blocks, activity=act,
                                 magnitudes=mags, mean_magnitude=vmean,
-                                constants=constants, scope=scope)
+                                scope=scope)
         enc = encode_frame(frame, recon_prev, qmap, grid, fld,
                            cfg.intra_deadzone, cfg.inter_deadzone)
         total_bits += enc.bits
@@ -285,64 +311,18 @@ def run_cell(seq: Sequence, grid, mode: str, base_qp: int,
     samples = len(seq.frames) * seq.width * seq.height
     mse = tuple(float(s) / samples for s in sse)
     return CellResult(mode, base_qp, int(total_bits),
-                      tuple(int(b) for b in channel_bits), frame_bits, mse,
-                      ssim_sum / len(seq.frames), qp_maps, histograms, recons)
-
-
-@dataclass
-class RunRecord:
-    """One report row: a (sequence, mode, QP) cell plus deltas vs anchor."""
-
-    sequence: str
-    mode: str
-    qp: int
-    bits: int
-    channel_bits: tuple
-    psnr_db: tuple
-    mse: tuple
-    ssim: float
-    pct_bits: float
-    pct_psnr_db: tuple
-    pct_psnr_mse: tuple
-    qp_histograms: list
+                      tuple(int(b) for b in channel_bits), mse,
+                      tuple(mse_to_psnr(m, seq.bit_depth) for m in mse),
+                      ssim_sum / len(seq.frames), frame_bits, qp_maps,
+                      histograms, recons)
 
 
 @dataclass
 class ExperimentReport:
     sequence: str
     config: dict
-    records: list = field(default_factory=list)
-    # (mode, qp) -> CellResult; carried for inspection, never serialized
-    cells: dict = field(default_factory=dict, repr=False)
-
-
-def _metrics(cell: CellResult, bit_depth: int) -> MetricReport:
-    return MetricReport(
-        psnr_db=tuple(mse_to_psnr(m, bit_depth) for m in cell.mse),
-        mse=cell.mse,
-        ssim=cell.ssim,
-        bits=cell.bits,
-    )
-
-
-def _make_record(label, cell: CellResult, anchor: CellResult,
-                 bit_depth: int) -> RunRecord:
-    metrics = _metrics(cell, bit_depth)
-    deltas = metrics.deltas_vs(_metrics(anchor, bit_depth))
-    return RunRecord(
-        sequence=label,
-        mode=cell.mode,
-        qp=cell.qp,
-        bits=cell.bits,
-        channel_bits=cell.channel_bits,
-        psnr_db=metrics.psnr_db,
-        mse=cell.mse,
-        ssim=cell.ssim,
-        pct_bits=deltas["pct_bits"],
-        pct_psnr_db=deltas["pct_psnr_db"],
-        pct_psnr_mse=deltas["pct_psnr_mse"],
-        qp_histograms=cell.qp_histograms,
-    )
+    # (mode, qp) -> CellResult in report row order: qp-major, then modes
+    cells: dict = field(default_factory=dict)
 
 
 def load_sequence(cfg: ExperimentConfig) -> Sequence:
@@ -373,16 +353,13 @@ def run(cfg: ExperimentConfig, keep_recons: bool = False) -> ExperimentReport:
     report = ExperimentReport(label, dataclasses.asdict(cfg))
     for qp in cfg.qps:
         anchor = run_cell(seq, grid, ANCHOR_MODE, qp, cfg)
-        report.cells[(ANCHOR_MODE, qp)] = anchor
         for mode in modes:
             cell = anchor if mode == ANCHOR_MODE else run_cell(
                 seq, grid, mode, qp, cfg)
+            cell.set_deltas(anchor)
             report.cells[(mode, qp)] = cell
-            report.records.append(
-                _make_record(label, cell, anchor, seq.bit_depth))
-    if not keep_recons:
-        for cell in report.cells.values():
-            cell.recons = []
+            if not keep_recons:
+                cell.recons = []
     if cfg.out_dir is not None:
         emit(report, cfg.out_dir)
     return report
@@ -400,9 +377,9 @@ def _round6(value):
     return None if value is None else round(value, 6)
 
 
-def record_to_row(r: RunRecord) -> list:
+def _row(sequence: str, r: CellResult) -> list:
     return [
-        r.sequence, r.mode, r.qp, r.bits,
+        sequence, r.mode, r.qp, r.bits,
         r.channel_bits[0], r.channel_bits[1], r.channel_bits[2],
         _round6(r.psnr_db[0]), _round6(r.psnr_db[1]), _round6(r.psnr_db[2]),
         _round6(r.ssim),
@@ -421,16 +398,16 @@ def emit(report: ExperimentReport, out_dir) -> None:
     with open(os.path.join(out_dir, "report.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
-        for r in report.records:
-            writer.writerow(_fmt(v) for v in record_to_row(r))
+        for r in report.cells.values():
+            writer.writerow(_fmt(v) for v in _row(report.sequence, r))
 
     payload = {
         "sequence": report.sequence,
         "config": report.config,
         "records": [
-            dict(zip(REPORT_COLUMNS, record_to_row(r)))
+            dict(zip(REPORT_COLUMNS, _row(report.sequence, r)))
             | {"qp_histograms": r.qp_histograms}
-            for r in report.records
+            for r in report.cells.values()
         ],
     }
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
@@ -440,17 +417,16 @@ def emit(report: ExperimentReport, out_dir) -> None:
     with open(os.path.join(out_dir, "rate_points.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RATE_POINT_COLUMNS)
-        for r in report.records:
+        for r in report.cells.values():
             writer.writerow([r.qp, r.mode, r.bits, _fmt(_round6(r.ssim))])
 
-    if report.cells:
-        for (mode, qp), cell in sorted(report.cells.items()):
-            sub = os.path.join(out_dir, "qpmaps", f"{mode}_qp{qp}")
-            os.makedirs(sub, exist_ok=True)
-            for qmap in cell.qp_maps:
-                path = os.path.join(sub, f"qpmap_{qmap.frame_index:04d}.csv")
-                with open(path, "w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(QPMAP_COLUMNS)
-                    for row in qmap.rows():
-                        writer.writerow(_fmt(v) for v in row)
+    for (mode, qp), cell in report.cells.items():
+        sub = os.path.join(out_dir, "qpmaps", f"{mode}_qp{qp}")
+        os.makedirs(sub, exist_ok=True)
+        for qmap in cell.qp_maps:
+            path = os.path.join(sub, f"qpmap_{qmap.frame_index:04d}.csv")
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(QPMAP_COLUMNS)
+                for row in qmap.rows():
+                    writer.writerow(_fmt(v) for v in row)

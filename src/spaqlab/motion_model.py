@@ -57,10 +57,6 @@ class MotionField:
     vectors: tuple
     mean_magnitude: float
 
-    @property
-    def pu_count(self) -> int:
-        return len(self.vectors)
-
     def magnitudes(self):
         return [mv_magnitude(v) for v in self.vectors]
 
@@ -91,7 +87,11 @@ def block_match(cur: np.ndarray, ref: np.ndarray, pu: BlockRef,
     region = ref[pu.y + dy_lo: pu.y + dy_hi + bh,
                  pu.x + dx_lo: pu.x + dx_hi + bw].astype(np.int16)
     windows = sliding_window_view(region, (bh, bw))
-    sad = np.abs(windows - block).sum(axis=(2, 3), dtype=np.int64)
+    # abs in place keeps one search-sized temporary per PU, not two: with
+    # two, glibc trims the freed heap top after each call and the next call
+    # faults it back in.
+    diff = windows - block
+    sad = np.abs(diff, out=diff).sum(axis=(2, 3), dtype=np.int64)
 
     best = None
     for iy, ix in np.argwhere(sad == sad.min()):

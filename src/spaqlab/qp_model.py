@@ -28,8 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .video_io import CHANNELS
+
 QP_MIN = 0
 QP_MAX = 51
+MEAN_OFFSET = 6.0   # o: mean CB-level perceptual QP offset
+MAX_OFFSET = 12.0   # o_max: maximum CB-level QP offset
+G_RANGE = (MEAN_OFFSET / 2.0, MEAN_OFFSET)
+BR_RANGE = (MEAN_OFFSET, MAX_OFFSET)
+# per channel (G, B, R): the clamp window and a high-motion PU's offset
+_WINDOWS = np.array([G_RANGE, BR_RANGE, BR_RANGE])
+_HIGH_MOTION_OFFSET = np.array([MEAN_OFFSET / 2.0, MEAN_OFFSET, MEAN_OFFSET])
 
 # QStep doubles every 6 QP; one octave is split into six exact ratios so
 # that qp_to_qstep(q + 6) == 2 * qp_to_qstep(q) holds bit-exactly.
@@ -41,25 +50,6 @@ class ClampScope(str, enum.Enum):
 
     TOTAL = "total"  # clamp(t + raw): both masking terms share the window
     TERM = "term"    # t + clamp(raw): window applies to the spatial term only
-
-
-@dataclass(frozen=True)
-class QpConstants:
-    """Offset-model constants; override only for experiments."""
-
-    mean_offset: float = 6.0   # mean CB-level perceptual QP offset
-    max_offset: float = 12.0   # maximum CB-level QP offset
-    num_offsets: int = 12      # number of CB-level offsets behind the mean
-    qp_min: int = QP_MIN
-    qp_max: int = QP_MAX
-
-    @property
-    def g_range(self):
-        return (self.mean_offset / 2.0, self.mean_offset)
-
-    @property
-    def br_range(self):
-        return (self.mean_offset, self.max_offset)
 
 
 def round_half_away(x: float) -> int:
@@ -83,10 +73,9 @@ def perceptual_offset(activity: float, temporal: float, lo: float, hi: float,
     return temporal + min(max(float(raw), lo), hi)
 
 
-def cb_qp(q_base: float, delta: float,
-          qp_min: int = QP_MIN, qp_max: int = QP_MAX) -> float:
+def cb_qp(q_base: float, delta: float) -> float:
     """Final CB-level QP: base plus adjustment, clamped to the legal range."""
-    return min(max(q_base + delta, qp_min), qp_max)
+    return min(max(q_base + delta, QP_MIN), QP_MAX)
 
 
 def qp_to_qstep(qp: float) -> float:
@@ -98,6 +87,17 @@ def qp_to_qstep(qp: float) -> float:
         e = int(e)
         return (2.0 ** (e // 6)) * _OCTAVE_FRACTIONS[e % 6]
     return 2.0 ** (e / 6.0)
+
+
+_QSTEPS = np.array([qp_to_qstep(q) for q in range(QP_MIN, QP_MAX + 1)])
+
+
+def _qsteps(qp: np.ndarray) -> np.ndarray:
+    """qp_to_qstep of every entry of an array of integer-valued QPs."""
+    idx = qp.astype(np.int64)
+    if not ((idx == qp) & (idx >= QP_MIN) & (idx <= QP_MAX)).all():
+        raise ValueError(f"QPs must be integers in [{QP_MIN}, {QP_MAX}]")
+    return _QSTEPS[idx]
 
 
 @dataclass
@@ -124,8 +124,6 @@ class QpMap:
 
     def rows(self):
         """CSV-ready rows: frame, cb_index, channel, q, raw, t, delta, qp, qstep."""
-        from .video_io import CHANNELS
-
         for cb in range(self.n_blocks):
             for ch in range(3):
                 yield (
@@ -146,14 +144,12 @@ def uniform_qp_map(frame_index: int, base_qps, n_blocks: int) -> QpMap:
     base = np.asarray(base_qps, dtype=np.float64)
     qp = np.repeat(base[:, None], n_blocks, axis=1)
     zeros = np.zeros((3, n_blocks))
-    qstep = np.vectorize(qp_to_qstep)(qp)
     return QpMap(frame_index, base, zeros.astype(np.int64), zeros.copy(),
-                 zeros.copy(), qp, qstep)
+                 zeros.copy(), qp, _qsteps(qp))
 
 
 def build_qp_map(frame_index: int, base_qps, n_blocks: int,
                  activity=None, magnitudes=None, mean_magnitude: float = 0.0,
-                 constants: QpConstants = QpConstants(),
                  scope: ClampScope = ClampScope.TOTAL) -> QpMap:
     """Perceptual map from activity and/or motion data.
 
@@ -161,31 +157,27 @@ def build_qp_map(frame_index: int, base_qps, n_blocks: int,
     temporal-only ablation). magnitudes: per-PU vector magnitudes or None
     (None disables temporal offsets, the spatial-only ablation or an
     intra frame). mean_magnitude is the frame mean the magnitudes are
-    thresholded against.
+    thresholded against. Entry for entry, the result equals the scalar
+    spatial_offset/perceptual_offset/cb_qp/qp_to_qstep chain.
     """
-    from .motion_model import temporal_offset_br, temporal_offset_g
-
     base = np.asarray(base_qps, dtype=np.float64)
-    raw = np.zeros((3, n_blocks), dtype=np.int64)
-    t = np.zeros((3, n_blocks))
-    delta = np.zeros((3, n_blocks))
-    qp = np.zeros((3, n_blocks))
-    qstep = np.zeros((3, n_blocks))
-
-    ranges = (constants.g_range, constants.br_range, constants.br_range)
-    offset_fns = (temporal_offset_g, temporal_offset_br, temporal_offset_br)
-
-    for ch in range(3):
-        lo, hi = ranges[ch]
-        for cb in range(n_blocks):
-            a = 1.0 if activity is None else float(activity.a[ch, cb])
-            raw[ch, cb] = spatial_offset(a)
-            if magnitudes is not None:
-                t[ch, cb] = offset_fns[ch](
-                    magnitudes[cb], mean_magnitude, constants.mean_offset
-                )
-            delta[ch, cb] = perceptual_offset(a, t[ch, cb], lo, hi, scope)
-            qp[ch, cb] = cb_qp(base[ch], delta[ch, cb],
-                               constants.qp_min, constants.qp_max)
-            qstep[ch, cb] = qp_to_qstep(qp[ch, cb])
-    return QpMap(frame_index, base, raw, t, delta, qp, qstep)
+    if activity is None:
+        raw = np.zeros((3, n_blocks), dtype=np.int64)
+    else:
+        # spatial_offset (math.log2) entry by entry: np.log2 differs from
+        # math.log2 in the last ulp on some inputs
+        raw = np.array([[spatial_offset(a) for a in row]
+                        for row in np.asarray(activity.a, float).tolist()],
+                       dtype=np.int64)
+    if magnitudes is None:
+        t = np.zeros((3, n_blocks))
+    else:
+        high = np.asarray(magnitudes, dtype=np.float64) > mean_magnitude
+        t = np.where(high, _HIGH_MOTION_OFFSET[:, None], 0.0)
+    lo, hi = _WINDOWS[:, :1], _WINDOWS[:, 1:]
+    if scope is ClampScope.TOTAL:
+        delta = np.clip(t + raw, lo, hi)
+    else:
+        delta = t + np.clip(raw, lo, hi)
+    qp = np.clip(base[:, None] + delta, QP_MIN, QP_MAX)
+    return QpMap(frame_index, base, raw, t, delta, qp, _qsteps(qp))

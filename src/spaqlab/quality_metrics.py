@@ -10,7 +10,6 @@ taken from integer integral images, so scores are exact and symmetric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,34 +98,8 @@ def pct_reduction(anchor: float, test: float) -> float:
     return 100.0 * (test - anchor) / anchor
 
 
-def _pct_or_none(anchor: float, test: float):
+def pct_delta(anchor: float, test: float):
+    """pct_reduction, or for a zero anchor: 0.0 if test equals it, else None."""
     if anchor <= 0:
         return 0.0 if test == anchor else None
     return pct_reduction(anchor, test)
-
-
-@dataclass
-class MetricReport:
-    """Quality numbers of one coded run."""
-
-    psnr_db: tuple   # (G, B, R)
-    mse: tuple       # (G, B, R), pooled over frames
-    ssim: float
-    bits: int
-
-    def deltas_vs(self, anchor: "MetricReport") -> dict:
-        """Signed percentage changes against an anchor run.
-
-        PSNR deltas are reported both on dB values and on the underlying
-        MSE, since the two conventions tell different stories.
-        """
-        return {
-            "pct_bits": _pct_or_none(anchor.bits, self.bits),
-            "pct_psnr_db": tuple(
-                _pct_or_none(anchor.psnr_db[ch], self.psnr_db[ch])
-                for ch in range(3)
-            ),
-            "pct_psnr_mse": tuple(
-                _pct_or_none(anchor.mse[ch], self.mse[ch]) for ch in range(3)
-            ),
-        }

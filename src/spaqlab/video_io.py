@@ -10,7 +10,7 @@ File layout (bit-exact contract, no container):
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,10 +57,9 @@ class Frame:
 
 @dataclass
 class Sequence:
-    """Ordered frames sharing geometry; frame_rate is metadata only."""
+    """Ordered frames sharing width, height and bit depth."""
 
-    frames: list = field(default_factory=list)
-    frame_rate: float = 30.0
+    frames: list
 
     def __post_init__(self):
         if not self.frames:

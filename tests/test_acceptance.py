@@ -7,6 +7,7 @@ per-criterion lines.
 """
 
 import math
+import shutil
 import time
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from spaqlab.motion_model import (
     temporal_offset_g,
 )
 from spaqlab.partitioner import build_grid, pad_plane
-from spaqlab.qp_model import QpConstants, perceptual_offset
+from spaqlab.qp_model import BR_RANGE, G_RANGE, perceptual_offset
 from spaqlab.quality_metrics import ssim_global
 from spaqlab.spatial_activity import (
     frame_mean_activity,
@@ -75,7 +76,6 @@ def sweep():
 
 def test_offset_range_suite():
     """Every perceptual adjustment stays inside its published window."""
-    consts = QpConstants()
     rng = np.random.default_rng(2024)
     n = 10_000
     activities = rng.uniform(0.5, 2.0, n)
@@ -84,9 +84,9 @@ def test_offset_range_suite():
     t0 = time.perf_counter()
     violations = 0
     for a, h in zip(activities, high):
-        dg = perceptual_offset(float(a), 3.0 if h else 0.0, *consts.g_range)
-        db = perceptual_offset(float(a), 6.0 if h else 0.0, *consts.br_range)
-        dr = perceptual_offset(float(a), 6.0 if h else 0.0, *consts.br_range)
+        dg = perceptual_offset(float(a), 3.0 if h else 0.0, *G_RANGE)
+        db = perceptual_offset(float(a), 6.0 if h else 0.0, *BR_RANGE)
+        dr = perceptual_offset(float(a), 6.0 if h else 0.0, *BR_RANGE)
         if not 3.0 <= dg <= 6.0:
             violations += 1
         if not (6.0 <= db <= 12.0 and 6.0 <= dr <= 12.0):
@@ -280,18 +280,30 @@ def test_monotone_rate_curve(sweep):
           f"{list(SWEEP_QPS)} for all kinds and modes")
 
 
+def _emitted(out):
+    """Relative path -> bytes of every file under an output directory."""
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
 def test_report_determinism(tmp_path):
-    """Identical config and seed give a byte-identical report.csv."""
+    """Identical config and seed give byte-identical output files: both
+    reports, the rate points and every QP map dump."""
     out = tmp_path / "rep"
     cfg = sweep_config("mixed", qps=(22, 37), modes=(ANCHOR_MODE, "spaq"),
                        out_dir=str(out))
     run(cfg)
-    first = (out / "report.csv").read_bytes()
+    first = _emitted(out)
+    shutil.rmtree(out)
     run(sweep_config("mixed", qps=(22, 37), modes=(ANCHOR_MODE, "spaq"),
                      out_dir=str(out)))
-    assert (out / "report.csv").read_bytes() == first
-    print(f"[determinism] PASS: report.csv byte-identical across reruns "
-          f"({len(first)} bytes)")
+    assert _emitted(out) == first
+    qpmaps = [name for name in first if name.startswith("qpmaps/")]
+    assert len(qpmaps) == 2 * 2 * SWEEP_FRAMES  # modes x QPs x frames
+    assert set(first) - set(qpmaps) == {
+        "report.csv", "report.json", "rate_points.csv"}
+    print(f"[determinism] PASS: {len(first)} files byte-identical across "
+          f"reruns ({sum(map(len, first.values()))} bytes)")
 
 
 def test_sweep_runtime(sweep):

@@ -133,12 +133,37 @@ def test_mode_lattice_small():
 def test_anchor_always_present():
     cfg = small_cfg(modes=("spaq",), qps=(27,))
     report = run(cfg)
-    modes = {r.mode for r in report.records}
+    modes = {r.mode for r in report.cells.values()}
     assert modes == {ANCHOR_MODE, "spaq"}
-    spaq_rec = next(r for r in report.records if r.mode == "spaq")
-    anchor_rec = next(r for r in report.records if r.mode == ANCHOR_MODE)
+    spaq_rec = next(r for r in report.cells.values() if r.mode == "spaq")
+    anchor_rec = next(r for r in report.cells.values()
+                      if r.mode == ANCHOR_MODE)
     assert anchor_rec.pct_bits == 0.0
     assert spaq_rec.pct_bits <= 0.0
+
+
+def test_row_order_follows_modes(tmp_path):
+    # rows run qp-major, then in the order cfg.modes lists them, even
+    # when the anchor (always coded first) is listed last
+    cfg = small_cfg(modes=("spaq", ANCHOR_MODE), out_dir=str(tmp_path))
+    report = run(cfg)
+    expected = [("spaq", 22), (ANCHOR_MODE, 22), ("spaq", 37),
+                (ANCHOR_MODE, 37)]
+    assert list(report.cells) == expected
+    for name in ("report.csv", "rate_points.csv"):
+        with open(tmp_path / name) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["mode"], int(r["qp"])) for r in rows] == expected
+    with open(tmp_path / "report.json") as fh:
+        records = json.load(fh)["records"]
+    assert [(r["mode"], r["qp"]) for r in records] == expected
+
+
+def test_recons_kept_only_on_request():
+    cfg = small_cfg(qps=(22,))
+    assert all(c.recons == [] for c in run(cfg).cells.values())
+    kept = run(cfg, keep_recons=True).cells
+    assert all(len(c.recons) == cfg.frames for c in kept.values())
 
 
 def test_config_validation():
@@ -146,6 +171,12 @@ def test_config_validation():
         small_cfg(qps=(60,)).validate()
     with pytest.raises(ValueError):
         small_cfg(qps=()).validate()
+    with pytest.raises(ValueError):
+        small_cfg(qps=(27.5,)).validate()
+    with pytest.raises(ValueError):
+        small_cfg(qps=(22, 22)).validate()
+    with pytest.raises(ValueError):
+        small_cfg(modes=("spaq", "spaq")).validate()
     with pytest.raises(ValueError):
         small_cfg(modes=("vivid",)).validate()
     with pytest.raises(ValueError):

@@ -159,9 +159,9 @@ def test_field_mean_recomputable():
     cur = np.roll(ref, (2, 1), axis=(0, 1))
     grid = build_grid(64, 64, 1)
     field = estimate_motion_field(cur, ref, grid, 4, frame_index=3)
-    assert field.pu_count == grid.n_blocks == 4
+    assert len(field.vectors) == grid.n_blocks == 4
     assert field.mean_magnitude == pytest.approx(
-        sum(field.magnitudes()) / field.pu_count, abs=1e-9
+        sum(field.magnitudes()) / len(field.vectors), abs=1e-9
     )
 
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from spaqlab import qp_model
+from spaqlab.motion_model import temporal_offset_br, temporal_offset_g
 from spaqlab.qp_model import (
     ClampScope,
-    QpConstants,
     build_qp_map,
     cb_qp,
     perceptual_offset,
@@ -113,14 +114,13 @@ def test_qstep_matches_exponential_law():
 
 def test_offset_ranges_over_random_inputs():
     rng = np.random.default_rng(2)
-    consts = QpConstants()
     for _ in range(5000):
         a = float(rng.uniform(0.5, 2.0))
         high = bool(rng.integers(0, 2))
         tg = 3.0 if high else 0.0
         tbr = 6.0 if high else 0.0
-        dg = perceptual_offset(a, tg, *consts.g_range)
-        dbr = perceptual_offset(a, tbr, *consts.br_range)
+        dg = perceptual_offset(a, tg, *qp_model.G_RANGE)
+        dbr = perceptual_offset(a, tbr, *qp_model.BR_RANGE)
         assert 3.0 <= dg <= 6.0
         assert 6.0 <= dbr <= 12.0
 
@@ -133,6 +133,12 @@ def test_uniform_map_is_flat():
     rows = list(qmap.rows())
     assert len(rows) == 18
     assert rows[0] == (0, 0, "G", 27.0, 0, 0.0, 0.0, 27.0, qp_to_qstep(27))
+    # the array lookup equals qp_to_qstep on every legal QP
+    for q in range(52):
+        assert (uniform_qp_map(0, (q, q, q), 3).qstep == qp_to_qstep(q)).all()
+    for bad in ((27.5, 27, 27), (52, 27, 27), (-1, 27, 27)):
+        with pytest.raises(ValueError):
+            uniform_qp_map(0, bad, 3)
 
 
 def test_build_qp_map_never_decreases_qp():
@@ -178,3 +184,63 @@ def test_final_qp_cap_at_51():
                         magnitudes=[9.0, 1.0], mean_magnitude=5.0)
     assert (qmap.qp <= 51.0).all()
     assert qmap.qp[1, 0] == 51.0  # 47 + 12 caps
+
+
+class _Activity:
+    def __init__(self, a):
+        self.a = a
+
+
+def scalar_qp_map(base_qps, n, activity, magnitudes, vmean, scope):
+    """Oracle: the per-entry scalar chain build_qp_map must reproduce."""
+    ranges = (G_RANGE, BR_RANGE, BR_RANGE)
+    offset_fns = (temporal_offset_g, temporal_offset_br, temporal_offset_br)
+    out = {k: np.zeros((3, n)) for k in ("raw", "t", "delta", "qp", "qstep")}
+    for ch in range(3):
+        for cb in range(n):
+            a = 1.0 if activity is None else float(activity.a[ch, cb])
+            t = (0.0 if magnitudes is None
+                 else offset_fns[ch](magnitudes[cb], vmean))
+            delta = perceptual_offset(a, t, *ranges[ch], scope=scope)
+            qp = cb_qp(float(base_qps[ch]), delta)
+            for key, value in zip(out, (spatial_offset(a), t, delta, qp,
+                                        qp_to_qstep(qp))):
+                out[key][ch, cb] = value
+    return out
+
+
+def _activities(rng, n):
+    """Random activities plus the window ends and the rounding boundaries
+    of 6*log2(A), with their floating-point neighbours."""
+    edges = [0.5, 1.0, 2.0]
+    for k in range(-6, 6):
+        edges.append(2.0 ** ((k + 0.5) / 6.0))
+    special = []
+    for e in edges:
+        special += [np.nextafter(e, 0.0), e, np.nextafter(e, 3.0)]
+    special = [min(max(v, 0.5), 2.0) for v in special]
+    a = rng.uniform(0.5, 2.0, (3, n))
+    a.flat[:len(special)] = special
+    a[1:, :len(special)] = rng.permutation(special)
+    return a
+
+
+def test_build_qp_map_matches_scalar_oracle():
+    rng = np.random.default_rng(11)
+    n = 130  # beyond numpy's 8-element unrolled and pairwise summation
+    act = _Activity(_activities(rng, n))
+    vecs = rng.integers(-8, 9, (n, 2))
+    mags = [math.hypot(int(x), int(y)) for x, y in vecs]
+    vmean = sum(mags) / n
+    mags[0] = mags[1] = vmean  # equal to the mean: not high motion
+    for base in ((22, 22, 22), (27, 30, 33), (0, 47, 51)):
+        for scope in ClampScope:
+            for a in (act, None):
+                for m in (mags, None):
+                    got = build_qp_map(5, base, n, activity=a, magnitudes=m,
+                                       mean_magnitude=vmean, scope=scope)
+                    want = scalar_qp_map(base, n, a, m, vmean, scope)
+                    assert got.raw.dtype == np.int64
+                    assert (got.base_qp == np.asarray(base, float)).all()
+                    for key, value in want.items():
+                        assert np.array_equal(getattr(got, key), value), key

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from spaqlab.experiment import CellResult
 from spaqlab.quality_metrics import (
     PSNR_CAP_DB,
-    MetricReport,
     pct_reduction,
     psnr,
     ssim_global,
@@ -161,18 +161,24 @@ def test_pct_reduction():
         pct_reduction(-5, 1)
 
 
+def _cell(psnr_db, mse, ssim, bits):
+    return CellResult("spaq", 27, bits, (0, 0, 0), mse, psnr_db, ssim,
+                      [], [], [], [])
+
+
 def test_metric_report_deltas():
-    anchor = MetricReport(psnr_db=(40.0, 40.0, 40.0), mse=(4.0, 4.0, 4.0),
-                          ssim=0.99, bits=1000)
-    test = MetricReport(psnr_db=(38.0, 36.0, 36.0), mse=(8.0, 16.0, 16.0),
-                        ssim=0.97, bits=283)
-    deltas = test.deltas_vs(anchor)
-    assert deltas["pct_bits"] == pytest.approx(-71.7)
-    assert deltas["pct_psnr_db"][0] == pytest.approx(-5.0)
-    assert deltas["pct_psnr_mse"][0] == pytest.approx(100.0)
-    assert deltas["pct_psnr_mse"][1] == pytest.approx(300.0)
+    anchor = _cell(psnr_db=(40.0, 40.0, 40.0), mse=(4.0, 4.0, 4.0),
+                   ssim=0.99, bits=1000)
+    test = _cell(psnr_db=(38.0, 36.0, 36.0), mse=(8.0, 16.0, 16.0),
+                 ssim=0.97, bits=283)
+    test.set_deltas(anchor)
+    assert test.pct_bits == pytest.approx(-71.7)
+    assert test.pct_psnr_db[0] == pytest.approx(-5.0)
+    assert test.pct_psnr_mse[0] == pytest.approx(100.0)
+    assert test.pct_psnr_mse[1] == pytest.approx(300.0)
     # degenerate anchors: equal stays 0, a lossless anchor has no ratio
-    zero = MetricReport(psnr_db=(99.99,) * 3, mse=(0.0,) * 3, ssim=1.0, bits=0)
-    d = zero.deltas_vs(zero)
-    assert d["pct_bits"] == 0.0 and d["pct_psnr_mse"] == (0.0, 0.0, 0.0)
-    assert test.deltas_vs(zero)["pct_psnr_mse"][0] is None
+    zero = _cell(psnr_db=(99.99,) * 3, mse=(0.0,) * 3, ssim=1.0, bits=0)
+    zero.set_deltas(zero)
+    assert zero.pct_bits == 0.0 and zero.pct_psnr_mse == (0.0, 0.0, 0.0)
+    test.set_deltas(zero)
+    assert test.pct_psnr_mse[0] is None
