@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .motion_model import MotionField, MotionVector
+from .motion_model import MotionField
 from .partitioner import BlockGrid, pad_plane
 from .qp_model import QpMap
 from .video_io import Frame
@@ -109,19 +109,18 @@ def encode_frame(frame: Frame, ref: Frame | None, qp_map: QpMap,
 
     ref None selects the intra path (neighbor-DC prediction, intra
     deadzone); otherwise every PU is motion-compensated from ref at its
-    vector from `motion` (zero vectors when motion is None).
+    vector from `motion`, which an inter frame requires.
     """
     if qp_map.n_blocks != grid.n_blocks:
         raise ValueError(
             f"qp map covers {qp_map.n_blocks} CBs, grid has {grid.n_blocks}"
         )
-    if motion is not None and len(motion.vectors) != grid.n_blocks:
-        raise ValueError("motion field does not match the grid")
-
     intra = ref is None
+    if not intra and (motion is None or len(motion.vectors) != grid.n_blocks):
+        raise ValueError("an inter frame needs a motion field matching the grid")
+    vectors = None if intra else motion.vectors.tolist()
     deadzone = intra_deadzone if intra else inter_deadzone
     mid = 1 << (frame.bit_depth - 1)
-    zero_mv = MotionVector(0, 0)
 
     recon_planes = []
     channel_bits = []
@@ -138,11 +137,12 @@ def encode_frame(frame: Frame, ref: Frame | None, qp_map: QpMap,
                                _intra_dc(recon, x, y, size, mid),
                                dtype=np.int32)
             else:
-                mv = motion.vectors[idx] if motion is not None else zero_mv
-                ry, rx = y - mv.y, x - mv.x
+                mvx, mvy = vectors[idx]
+                ry, rx = y - mvy, x - mvx
                 if not (0 <= ry <= ref_plane.shape[0] - size
                         and 0 <= rx <= ref_plane.shape[1] - size):
-                    raise ValueError(f"motion vector {mv} leaves the reference")
+                    raise ValueError(
+                        f"motion vector ({mvx}, {mvy}) leaves the reference")
                 pred = ref_plane[ry: ry + size, rx: rx + size]
             residual = src[y: y + size, x: x + size] - pred
             qstep = float(qp_map.qstep[ch, idx])

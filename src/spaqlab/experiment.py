@@ -30,7 +30,8 @@ from .partitioner import build_grid, pad_plane
 from .qp_model import ClampScope, build_qp_map, uniform_qp_map
 from .quality_metrics import mse_to_psnr, pct_delta, ssim_global
 from .spatial_activity import DEFAULT_SCALE, compute_activity_map
-from .video_io import CHANNELS, G, SUPPORTED_BIT_DEPTHS, Frame, Sequence, load_raw
+from .video_io import (CHANNELS, G, SUPPORTED_BIT_DEPTHS, Frame, RawFormatError,
+                       Sequence, load_raw)
 
 MODES = ("anchor-uniform", "spaq", "spatial-only", "temporal-only")
 SYNTHETIC_KINDS = ("noise", "gradient", "moving-texture", "mixed")
@@ -279,7 +280,7 @@ def run_cell(seq: Sequence, grid, mode: str, base_qp: int,
             act = (compute_activity_map(frame, grid, cfg.activity_scale)
                    if use_spatial else None)
             if use_temporal and fld is not None:
-                mags = fld.magnitudes()
+                mags = fld.magnitudes
                 if cfg.v_source == "previous" and prev_mean_mag is not None:
                     vmean = prev_mean_mag
                 else:
@@ -329,8 +330,12 @@ def load_sequence(cfg: ExperimentConfig) -> Sequence:
     if cfg.synthetic is not None:
         return gen_synthetic(cfg.synthetic, cfg.width, cfg.height, cfg.frames,
                              cfg.bit_depth, cfg.seed, cfg.shift)
-    return load_raw(cfg.input_path, cfg.width, cfg.height, cfg.bit_depth,
-                    cfg.frames)
+    seq = load_raw(cfg.input_path, cfg.width, cfg.height, cfg.bit_depth,
+                   cfg.frames)
+    if len(seq.frames) < cfg.frames:
+        raise RawFormatError(f"{cfg.input_path} holds {len(seq.frames)} "
+                             f"frames, fewer than the {cfg.frames} requested")
+    return seq
 
 
 def run(cfg: ExperimentConfig, keep_recons: bool = False) -> ExperimentReport:
@@ -338,10 +343,13 @@ def run(cfg: ExperimentConfig, keep_recons: bool = False) -> ExperimentReport:
 
     The uniform anchor always runs (it is the reference every percentage
     column is computed against) even when absent from cfg.modes. Writes
-    report files when cfg.out_dir is set. Reconstructed frames are
-    dropped from the returned cells unless keep_recons is set.
+    report files to cfg.out_dir, if set, which is created before any
+    input is read. Reconstructed frames are dropped from the returned
+    cells unless keep_recons is set.
     """
     cfg.validate()
+    if cfg.out_dir is not None:
+        os.makedirs(cfg.out_dir, exist_ok=True)
     seq = load_sequence(cfg)
     label = cfg.label or cfg.synthetic or os.path.basename(cfg.input_path)
     grid = build_grid(seq.width, seq.height, cfg.cb_depth)

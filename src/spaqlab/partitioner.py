@@ -26,7 +26,6 @@ class BlockRef:
     y: int
     size: int
     depth: int
-    partial: bool = False  # extends past the true frame, covered by padding
 
     def __post_init__(self):
         if self.size < 2 or self.size % 2 != 0:
@@ -70,9 +69,7 @@ def build_grid(width: int, height: int, depth: int) -> BlockGrid:
     blocks = []
     for row in range(rows):
         for col in range(cols):
-            x, y = col * size, row * size
-            partial = (x + size > width) or (y + size > height)
-            blocks.append(BlockRef(x, y, size, depth, partial))
+            blocks.append(BlockRef(col * size, row * size, size, depth))
     return BlockGrid(width, height, depth, size, cols, rows, tuple(blocks))
 
 
@@ -82,10 +79,10 @@ def sub_blocks(b: BlockRef):
     n = b.size // 2
     d = b.depth + 1
     return (
-        BlockRef(b.x, b.y, n, d, b.partial),
-        BlockRef(b.x + n, b.y, n, d, b.partial),
-        BlockRef(b.x, b.y + n, n, d, b.partial),
-        BlockRef(b.x + n, b.y + n, n, d, b.partial),
+        BlockRef(b.x, b.y, n, d),
+        BlockRef(b.x + n, b.y, n, d),
+        BlockRef(b.x, b.y + n, n, d),
+        BlockRef(b.x + n, b.y + n, n, d),
     )
 
 

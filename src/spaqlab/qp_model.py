@@ -64,6 +64,16 @@ def spatial_offset(activity: float) -> int:
     return round_half_away(6.0 * math.log2(activity))
 
 
+def temporal_offset_g(magnitude: float, mean_magnitude: float) -> float:
+    """G-channel temporal QP offset: o/2 above the frame mean magnitude."""
+    return MEAN_OFFSET / 2.0 if magnitude > mean_magnitude else 0.0
+
+
+def temporal_offset_br(magnitude: float, mean_magnitude: float) -> float:
+    """B/R-channel temporal QP offset: o above the frame mean magnitude."""
+    return MEAN_OFFSET if magnitude > mean_magnitude else 0.0
+
+
 def perceptual_offset(activity: float, temporal: float, lo: float, hi: float,
                       scope: ClampScope = ClampScope.TOTAL) -> float:
     """Clamped perceptual QP adjustment for one CB and channel."""

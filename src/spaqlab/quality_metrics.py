@@ -19,15 +19,6 @@ PSNR_CAP_DB = 99.99
 SSIM_WINDOW = 8
 
 
-def psnr(ref_plane: np.ndarray, test_plane: np.ndarray, bit_depth: int) -> float:
-    """Peak signal-to-noise ratio in dB, capped at 99.99."""
-    if ref_plane.shape != test_plane.shape:
-        raise ValueError("planes must share dimensions")
-    diff = ref_plane.astype(np.int64) - test_plane.astype(np.int64)
-    mse = float((diff * diff).sum()) / diff.size
-    return mse_to_psnr(mse, bit_depth)
-
-
 def mse_to_psnr(mse: float, bit_depth: int) -> float:
     if mse <= 0:
         return PSNR_CAP_DB
@@ -35,34 +26,36 @@ def mse_to_psnr(mse: float, bit_depth: int) -> float:
     return min(10.0 * math.log10(peak * peak / mse), PSNR_CAP_DB)
 
 
-def _window_sums(x: np.ndarray, win: int) -> np.ndarray:
-    """Sum of every win x win window (stride 1), exact in int64."""
+def _window_sums(x: np.ndarray) -> np.ndarray:
+    """Sum of every SSIM window (stride 1), exact in int64."""
+    win = SSIM_WINDOW
     h, w = x.shape
     c = np.zeros((h + 1, w + 1), dtype=np.int64)
     np.cumsum(np.cumsum(x, axis=0, dtype=np.int64), axis=1, out=c[1:, 1:])
     return (c[win:, win:] - c[:-win, win:] - c[win:, :-win] + c[:-win, :-win])
 
 
-def ssim_plane(ref_plane: np.ndarray, test_plane: np.ndarray, bit_depth: int,
-               window: int = SSIM_WINDOW) -> float:
+def ssim_plane(ref_plane: np.ndarray, test_plane: np.ndarray,
+               bit_depth: int) -> float:
     """Mean SSIM of one channel over all window positions."""
     if ref_plane.shape != test_plane.shape:
         raise ValueError("planes must share dimensions")
     h, w = ref_plane.shape
-    if h < window or w < window:
-        raise ValueError(f"plane {h}x{w} is smaller than the {window}x{window} window")
+    if h < SSIM_WINDOW or w < SSIM_WINDOW:
+        raise ValueError(f"plane {h}x{w} is smaller than the "
+                         f"{SSIM_WINDOW}x{SSIM_WINDOW} window")
     peak = (1 << bit_depth) - 1
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
-    n = window * window
+    n = SSIM_WINDOW * SSIM_WINDOW
 
     a = ref_plane.astype(np.int64)
     b = test_plane.astype(np.int64)
-    sa = _window_sums(a, window).astype(np.float64)
-    sb = _window_sums(b, window).astype(np.float64)
-    saa = _window_sums(a * a, window).astype(np.float64)
-    sbb = _window_sums(b * b, window).astype(np.float64)
-    sab = _window_sums(a * b, window).astype(np.float64)
+    sa = _window_sums(a).astype(np.float64)
+    sb = _window_sums(b).astype(np.float64)
+    saa = _window_sums(a * a).astype(np.float64)
+    sbb = _window_sums(b * b).astype(np.float64)
+    sab = _window_sums(a * b).astype(np.float64)
 
     mu_a = sa / n
     mu_b = sb / n
@@ -76,7 +69,7 @@ def ssim_plane(ref_plane: np.ndarray, test_plane: np.ndarray, bit_depth: int,
     return float(ssim_map.mean())
 
 
-def ssim_global(ref: Frame, test: Frame, window: int = SSIM_WINDOW) -> float:
+def ssim_global(ref: Frame, test: Frame) -> float:
     """Global GBR score: mean of the three channel SSIMs."""
     if (ref.width, ref.height, ref.bit_depth) != (
         test.width,
@@ -85,21 +78,17 @@ def ssim_global(ref: Frame, test: Frame, window: int = SSIM_WINDOW) -> float:
     ):
         raise ValueError("frames must share dimensions and bit depth")
     scores = [
-        ssim_plane(ref.planes[ch], test.planes[ch], ref.bit_depth, window)
+        ssim_plane(ref.planes[ch], test.planes[ch], ref.bit_depth)
         for ch in range(3)
     ]
     return sum(scores) / 3.0
 
 
-def pct_reduction(anchor: float, test: float) -> float:
-    """Signed percentage change of test against anchor (negative = reduction)."""
-    if anchor <= 0:
-        raise ValueError(f"anchor must be positive, got {anchor}")
-    return 100.0 * (test - anchor) / anchor
-
-
 def pct_delta(anchor: float, test: float):
-    """pct_reduction, or for a zero anchor: 0.0 if test equals it, else None."""
+    """Signed percentage change of test against anchor (negative = reduction).
+
+    A non-positive anchor has no ratio: 0.0 if test equals it, else None.
+    """
     if anchor <= 0:
         return 0.0 if test == anchor else None
-    return pct_reduction(anchor, test)
+    return 100.0 * (test - anchor) / anchor

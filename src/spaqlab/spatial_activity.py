@@ -69,10 +69,6 @@ class ActivityMap:
     m: np.ndarray
     a: np.ndarray
 
-    @property
-    def n_blocks(self) -> int:
-        return self.g.shape[1]
-
 
 def compute_activity_map(frame: Frame, grid: BlockGrid,
                          s: float = DEFAULT_SCALE) -> ActivityMap:

@@ -22,16 +22,15 @@ from spaqlab.experiment import (
     run,
     run_cell,
 )
-from spaqlab.motion_model import (
-    MotionVector,
-    estimate_motion_field,
-    frame_mean_magnitude,
-    mv_magnitude,
+from spaqlab.motion_model import estimate_motion_field, motion_field
+from spaqlab.partitioner import build_grid, pad_plane
+from spaqlab.qp_model import (
+    BR_RANGE,
+    G_RANGE,
+    perceptual_offset,
     temporal_offset_br,
     temporal_offset_g,
 )
-from spaqlab.partitioner import build_grid, pad_plane
-from spaqlab.qp_model import BR_RANGE, G_RANGE, perceptual_offset
 from spaqlab.quality_metrics import ssim_global
 from spaqlab.spatial_activity import (
     frame_mean_activity,
@@ -125,16 +124,15 @@ def test_equation_oracles():
 
     for _ in range(1000):
         x, y = (int(v) for v in rng.integers(-64, 65, 2))
-        assert abs(mv_magnitude(MotionVector(x, y))
+        assert abs(motion_field(0, [(x, y)]).magnitudes[0]
                    - math.sqrt(x * x + y * y)) <= 1e-9
 
     for _ in range(1000):
         comps = rng.integers(-32, 33, (int(rng.integers(1, 10)), 2))
-        vectors = [MotionVector(int(a), int(b)) for a, b in comps]
         oracle = math.fsum(
             math.sqrt(float(a * a + b * b)) for a, b in comps
-        ) / len(vectors)
-        assert abs(frame_mean_magnitude(vectors) - oracle) <= 1e-9
+        ) / len(comps)
+        assert abs(motion_field(0, comps).mean_magnitude - oracle) <= 1e-9
 
     for _ in range(1000):
         mag = float(rng.uniform(0.0, 10.0))
@@ -197,7 +195,7 @@ def test_motion_suite():
             )
             if fully_textured:
                 total += 1
-                if mv_magnitude(field.vectors[idx]) == 5.0:
+                if field.magnitudes[idx] == 5.0:
                     hits += 1
     assert total > 0
     assert hits / total >= 0.9
@@ -205,8 +203,8 @@ def test_motion_suite():
     plane = gen_synthetic("noise", 64, 64, 1, 8, seed=1).frames[0].planes[G]
     static_field = estimate_motion_field(plane, plane.copy(),
                                          build_grid(64, 64, 2), 8)
-    assert all(v == MotionVector(0, 0) for v in static_field.vectors)
-    for m in static_field.magnitudes():
+    assert (static_field.vectors == 0).all()
+    for m in static_field.magnitudes:
         assert temporal_offset_g(m, static_field.mean_magnitude) == 0.0
         assert temporal_offset_br(m, static_field.mean_magnitude) == 0.0
     print(f"[motion] PASS: planted shift on {hits}/{total} textured PUs, "

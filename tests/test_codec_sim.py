@@ -11,6 +11,7 @@ from spaqlab.codec_sim import (
     idct2,
     quantize,
 )
+from spaqlab.motion_model import motion_field
 from spaqlab.partitioner import build_grid
 from spaqlab.qp_model import uniform_qp_map
 from spaqlab.video_io import Frame
@@ -156,7 +157,8 @@ def test_all_zero_frame_minimal_cost():
     qmap = uniform_qp_map(0, (27, 27, 27), grid.n_blocks)
     # inter against an identical reference: all levels zero, only the
     # significance map is paid
-    enc = encode_frame(zero, zero, qmap, grid, None)
+    still = motion_field(1, np.zeros((grid.n_blocks, 2), dtype=np.int64))
+    enc = encode_frame(zero, zero, qmap, grid, still)
     assert enc.bits == 3 * w * h
     assert enc.sse == (0, 0, 0)
 
@@ -171,7 +173,8 @@ def test_static_sequence_inter_cheaper_than_intra():
     grid = build_grid(64, 64, 1)
     qmap = uniform_qp_map(0, (27, 27, 27), grid.n_blocks)
     intra = encode_frame(frame, None, qmap, grid)
-    inter = encode_frame(frame, intra.recon, qmap, grid, None)
+    still = motion_field(1, np.zeros((grid.n_blocks, 2), dtype=np.int64))
+    inter = encode_frame(frame, intra.recon, qmap, grid, still)
     assert inter.bits < intra.bits
 
 
@@ -220,6 +223,20 @@ def test_qp_map_grid_mismatch_rejected():
     qmap = uniform_qp_map(0, (27, 27, 27), grid.n_blocks + 1)
     with pytest.raises(ValueError):
         encode_frame(frame, None, qmap, grid)
+
+
+def test_inter_frame_needs_matching_motion_field():
+    frame = smooth_frame(64, 64)
+    grid = build_grid(64, 64, 1)
+    qmap = uniform_qp_map(0, (27, 27, 27), grid.n_blocks)
+    with pytest.raises(ValueError, match="needs a motion field"):
+        encode_frame(frame, frame, qmap, grid)
+    with pytest.raises(ValueError, match="needs a motion field"):
+        encode_frame(frame, frame, qmap, grid,
+                     motion_field(1, [(0, 0)] * (grid.n_blocks - 1)))
+    with pytest.raises(ValueError, match="leaves the reference"):
+        encode_frame(frame, frame, qmap, grid,
+                     motion_field(1, [(1, 0)] * grid.n_blocks))
 
 
 def test_partial_frame_encodes_and_crops():

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from spaqlab import experiment
 from spaqlab.cli import main
 from spaqlab.experiment import (
     ANCHOR_MODE,
@@ -82,7 +83,7 @@ def test_moving_texture_dominant_magnitude():
         cur = pad_plane(seq.frames[n].planes[G], grid)
         ref = pad_plane(seq.frames[n - 1].planes[G], grid)
         field = estimate_motion_field(cur, ref, grid, 16, n)
-        mags.extend(field.magnitudes())
+        mags.extend(field.magnitudes.tolist())
     assert 5.0 in mags  # the planted shift is recovered somewhere
 
 
@@ -290,6 +291,38 @@ def test_cli_bad_input_file(tmp_path):
         "--frames", "2", "--qp", "22", "--out", str(tmp_path / "o"),
     ])
     assert code == 1
+
+
+def test_cli_unwritable_out_fails_before_coding(tmp_path, monkeypatch, capsys):
+    calls = []
+    real_run_cell = experiment.run_cell
+    monkeypatch.setattr(experiment, "run_cell",
+                        lambda *a: calls.append(a) or real_run_cell(*a))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main([
+        "--synthetic", "noise", "--width", "64", "--height", "64",
+        "--frames", "2", "--qp", "27", "--cb-depth", "2",
+        "--search-range", "2", "--out", str(blocker / "out"),
+    ])
+    assert code == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("spaqlab: error:")
+
+
+def test_cli_short_raw_file_rejected(tmp_path, capsys):
+    raw = tmp_path / "one.rgb"
+    write_raw(gen_synthetic("noise", 64, 64, 1, 8, seed=0), raw)
+    out = tmp_path / "o"
+    code = main([
+        "--input", str(raw), "--width", "64", "--height", "64",
+        "--frames", "16", "--qp", "22", "--out", str(out),
+    ])
+    assert code == 1
+    assert not (out / "report.csv").exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "fewer than the 16" in err
 
 
 def test_open_loop_and_v_source_paths():

@@ -2,25 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from spaqlab.motion_model import (
-    MotionField,
-    MotionVector,
-    block_match,
-    estimate_motion_field,
-    frame_mean_magnitude,
-    mv_magnitude,
-    temporal_offset_br,
-    temporal_offset_g,
-)
-from spaqlab.partitioner import BlockRef, build_grid
+from spaqlab.motion_model import block_match, estimate_motion_field, motion_field
+from spaqlab.partitioner import BlockRef, build_grid, pad_plane
+from spaqlab.qp_model import temporal_offset_br, temporal_offset_g
 
 
 def brute_force_match(cur, ref, pu, search_range):
     """Independent exhaustive argmin with the documented tie-break."""
     h, w = ref.shape
-    bh = min(pu.size, h - pu.y)
-    bw = min(pu.size, w - pu.x)
+    bh = bw = pu.size
     blk = cur[pu.y: pu.y + bh, pu.x: pu.x + bw].astype(np.int64)
     best = None
     for dy in range(-search_range, search_range + 1):
@@ -33,14 +27,14 @@ def brute_force_match(cur, ref, pu, search_range):
             mvx, mvy = -dx, -dy
             key = (sad, mvx * mvx + mvy * mvy, mvy, mvx)
             if best is None or key < best[0]:
-                best = (key, MotionVector(mvx, mvy))
+                best = (key, (mvx, mvy))
     return best[1]
 
 
 def test_identical_planes_give_zero_vector():
     rng = np.random.default_rng(0)
     plane = rng.integers(0, 256, (32, 32), dtype=np.int64).astype(np.int32)
-    assert block_match(plane, plane, BlockRef(8, 8, 8, 2), 4) == MotionVector(0, 0)
+    assert block_match(plane, plane, BlockRef(8, 8, 8, 2), 4) == (0, 0)
 
 
 def test_planted_right_shift_recovered():
@@ -51,12 +45,22 @@ def test_planted_right_shift_recovered():
     cur[:, 2:] = ref[:, :-2]
     cur[:, :2] = ref[:, :2]
     mv = block_match(cur, ref, BlockRef(16, 8, 16, 2), 4)
-    assert mv == MotionVector(2, 0)
+    assert mv == (2, 0)
 
 
 def test_constant_planes_tie_break_to_zero():
     plane = np.full((32, 32), 5, dtype=np.int32)
-    assert block_match(plane, plane, BlockRef(8, 8, 16, 2), 4) == MotionVector(0, 0)
+    assert block_match(plane, plane, BlockRef(8, 8, 16, 2), 4) == (0, 0)
+
+
+def test_equal_magnitude_ties_prefer_smaller_y_then_x():
+    # cur is ref inverted: every odd-parity displacement matches exactly,
+    # the zero vector does not
+    checker = np.indices((32, 32)).sum(axis=0) % 2
+    pu = BlockRef(8, 8, 8, 2)
+    assert block_match(1 - checker, checker, pu, 2) == (0, -1)
+    stripes = np.indices((32, 32))[1] % 2
+    assert block_match(1 - stripes, stripes, pu, 2) == (-1, 0)
 
 
 def test_matches_exhaustive_oracle():
@@ -78,7 +82,7 @@ def test_result_sad_never_beats_zero_vector():
         ref = rng.integers(0, 256, (32, 32), dtype=np.int64).astype(np.int32)
         cur = rng.integers(0, 256, (32, 32), dtype=np.int64).astype(np.int32)
         pu = BlockRef(8, 8, 16, 2)
-        mv = block_match(cur, ref, pu, 6)
+        mvx, mvy = block_match(cur, ref, pu, 6)
         blk = cur[8:24, 8:24].astype(np.int64)
 
         def sad_at(vx, vy):
@@ -86,29 +90,26 @@ def test_result_sad_never_beats_zero_vector():
                 ref[8 - vy: 24 - vy, 8 - vx: 24 - vx].astype(np.int64) - blk
             ).sum())
 
-        assert sad_at(mv.x, mv.y) <= sad_at(0, 0)
+        assert sad_at(mvx, mvy) <= sad_at(0, 0)
 
 
 def test_mv_magnitudes():
-    assert mv_magnitude(MotionVector(0, 0)) == 0.0
-    assert mv_magnitude(MotionVector(3, 4)) == 5.0
-    assert mv_magnitude(MotionVector(-2, 1)) == pytest.approx(math.sqrt(5))
+    mags = motion_field(0, [(0, 0), (3, 4), (-2, 1)]).magnitudes
+    assert mags[0] == 0.0
+    assert mags[1] == 5.0
+    assert mags[2] == pytest.approx(math.sqrt(5))
 
 
 def test_frame_mean_magnitude():
-    vectors = (
-        MotionVector(0, 0),
-        MotionVector(3, 4),
-        MotionVector(6, 8),
-        MotionVector(5, 0),
-    )  # magnitudes 0, 5, 10, 5
-    assert frame_mean_magnitude(vectors) == 5.0
-    field = MotionField(0, vectors, frame_mean_magnitude(vectors))
-    assert frame_mean_magnitude(field) == 5.0
-    assert frame_mean_magnitude([MotionVector(7, 0)]) == 7.0
-    assert frame_mean_magnitude([MotionVector(0, 0)] * 3) == 0.0
+    vectors = [(0, 0), (3, 4), (6, 8), (5, 0)]  # magnitudes 0, 5, 10, 5
+    field = motion_field(0, vectors)
+    assert field.mean_magnitude == 5.0
+    assert field.vectors.shape == (4, 2) and field.vectors.dtype == np.int64
+    assert field.vectors.tolist() == [list(v) for v in vectors]
+    assert motion_field(0, [(7, 0)]).mean_magnitude == 7.0
+    assert motion_field(0, [(0, 0)] * 3).mean_magnitude == 0.0
     with pytest.raises(ValueError):
-        frame_mean_magnitude([])
+        motion_field(0, [])
 
 
 def test_mean_magnitude_matches_naive_oracle():
@@ -116,14 +117,14 @@ def test_mean_magnitude_matches_naive_oracle():
     for _ in range(1000):
         n = int(rng.integers(1, 12))
         comps = rng.integers(-16, 17, (n, 2))
-        vectors = [MotionVector(int(x), int(y)) for x, y in comps]
         oracle = sum(math.sqrt(float(x * x + y * y)) for x, y in comps) / n
-        assert frame_mean_magnitude(vectors) == pytest.approx(oracle, abs=1e-9)
+        assert motion_field(0, comps).mean_magnitude == pytest.approx(
+            oracle, abs=1e-9)
 
 
 def test_temporal_offsets():
-    assert temporal_offset_g(6, 5, 6) == 3.0
-    assert temporal_offset_br(6, 5, 6) == 6.0
+    assert temporal_offset_g(6, 5) == 3.0
+    assert temporal_offset_br(6, 5) == 6.0
     assert temporal_offset_g(5, 5) == 0.0
     assert temporal_offset_br(0, 0) == 0.0
     # strict comparison: any positive excess triggers
@@ -136,9 +137,9 @@ def test_static_sequence_yields_zero_offsets():
     plane = rng.integers(0, 256, (64, 64), dtype=np.int64).astype(np.int32)
     grid = build_grid(64, 64, 2)
     field = estimate_motion_field(plane, plane.copy(), grid, 8)
-    assert all(v == MotionVector(0, 0) for v in field.vectors)
+    assert (field.vectors == 0).all()
     assert field.mean_magnitude == 0.0
-    for m in field.magnitudes():
+    for m in field.magnitudes:
         assert temporal_offset_g(m, field.mean_magnitude) == 0.0
         assert temporal_offset_br(m, field.mean_magnitude) == 0.0
 
@@ -161,7 +162,7 @@ def test_field_mean_recomputable():
     field = estimate_motion_field(cur, ref, grid, 4, frame_index=3)
     assert len(field.vectors) == grid.n_blocks == 4
     assert field.mean_magnitude == pytest.approx(
-        sum(field.magnitudes()) / len(field.vectors), abs=1e-9
+        sum(field.magnitudes) / len(field.vectors), abs=1e-9
     )
 
 
@@ -172,3 +173,59 @@ def test_mismatched_planes_rejected():
         block_match(a, b, BlockRef(0, 0, 8, 2), 2)
     with pytest.raises(ValueError):
         block_match(a, a, BlockRef(0, 0, 8, 2), -1)
+
+
+def test_pu_leaving_the_plane_rejected():
+    plane = np.zeros((16, 16), dtype=np.int32)
+    for pu in (BlockRef(8, 0, 16, 2), BlockRef(0, 8, 16, 2),
+               BlockRef(16, 0, 2, 2), BlockRef(-2, 0, 8, 2)):
+        with pytest.raises(ValueError, match="leaves the 16x16 plane"):
+            block_match(plane, plane, pu, 2)
+    assert block_match(plane, plane, BlockRef(8, 8, 8, 2), 2) == (0, 0)
+
+
+@st.composite
+def padded_plane_pairs(draw):
+    """Random (cur, ref, grid) with planes edge-padded to the grid, as
+    run_cell feeds them; few sample levels so SAD ties are common."""
+    w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    grid = build_grid(w, h, draw(st.sampled_from((1, 2))))
+    cur, ref = (draw(arrays(np.int32, (h, w), elements=st.integers(0, 3)))
+                for _ in range(2))
+    return pad_plane(cur, grid), pad_plane(ref, grid), grid
+
+
+@settings(deadline=None, max_examples=60)
+@given(padded_plane_pairs(), st.integers(0, 5), st.integers(0, 99))
+def test_field_matches_exhaustive_oracle_property(planes, search_range, n):
+    cur, ref, grid = planes
+    for r in {0, search_range}:
+        field = estimate_motion_field(cur, ref, grid, r, n)
+        assert field.frame_index == n
+        assert field.vectors.shape == (grid.n_blocks, 2)
+        assert field.vectors.tolist() == [
+            list(brute_force_match(cur, ref, pu, r)) for pu in grid.blocks
+        ]
+
+
+vector_lists = st.lists(
+    st.tuples(st.integers(-600, 600), st.integers(-600, 600)),
+    min_size=1, max_size=40,
+)
+
+
+# np.hypot differs from math.hypot in the last ulp on these vectors
+@given(vector_lists)
+@example([(-91, -98), (43, -98), (576, 600)])
+def test_magnitudes_equal_hypot_property(vectors):
+    mags = motion_field(0, vectors).magnitudes
+    assert mags.dtype == np.float64
+    assert mags.tolist() == [math.hypot(x, y) for x, y in vectors]
+
+
+@given(vector_lists)
+def test_mean_magnitude_is_sequential_sum_property(vectors):
+    total = 0.0
+    for x, y in vectors:
+        total += math.hypot(x, y)
+    assert motion_field(0, vectors).mean_magnitude == total / len(vectors)

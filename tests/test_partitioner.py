@@ -13,7 +13,7 @@ from spaqlab.partitioner import (
 def test_depth0_single_block():
     grid = build_grid(64, 64, 0)
     assert grid.n_blocks == 1
-    assert grid.blocks[0] == BlockRef(0, 0, 64, 0, False)
+    assert grid.blocks[0] == BlockRef(0, 0, 64, 0)
 
 
 def test_depth1_tiling_counts():
@@ -21,14 +21,14 @@ def test_depth1_tiling_counts():
     assert grid.n_blocks == 8
     assert grid.cols == 4 and grid.rows == 2
     assert all(b.size == 32 for b in grid.blocks)
-    assert not any(b.partial for b in grid.blocks)
+    assert all(b.x + b.size <= 128 and b.y + b.size <= 64 for b in grid.blocks)
 
 
 def test_degenerate_frame_is_partial():
     grid = build_grid(1, 1, 2)
     assert grid.n_blocks == 1
     blk = grid.blocks[0]
-    assert blk.size == 16 and blk.partial
+    assert blk.size == 16 and blk.x + blk.size > grid.width
     assert grid.padded_width == 16 and grid.padded_height == 16
 
 

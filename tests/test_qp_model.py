@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spaqlab import qp_model
-from spaqlab.motion_model import temporal_offset_br, temporal_offset_g
 from spaqlab.qp_model import (
     ClampScope,
     build_qp_map,
@@ -13,6 +12,8 @@ from spaqlab.qp_model import (
     qp_to_qstep,
     round_half_away,
     spatial_offset,
+    temporal_offset_br,
+    temporal_offset_g,
     uniform_qp_map,
 )
 
