@@ -62,10 +62,6 @@ class ExperimentConfig:
     cb_depth: int = 1
     search_range: int = 16
     clamp_scope: str = ClampScope.TOTAL.value
-    activity_scale: float = DEFAULT_SCALE
-    intra_deadzone: float = INTRA_DEADZONE
-    inter_deadzone: float = INTER_DEADZONE
-    channel_qp_offsets: tuple = (0, 0, 0)
     open_loop_me: bool = False
     v_source: str = "current"
     seed: int = 0
@@ -106,19 +102,14 @@ class ExperimentConfig:
         ClampScope(self.clamp_scope)
         if self.v_source not in ("current", "previous"):
             raise ValueError("v_source must be 'current' or 'previous'")
-        for dz in (self.intra_deadzone, self.inter_deadzone):
-            if not 0.0 <= dz <= 0.5:
-                raise ValueError("deadzones must lie in [0, 0.5]")
-        for off in self.channel_qp_offsets:
-            if min(self.qps) + off < 0 or max(self.qps) + off > 51:
-                raise ValueError("channel QP offset pushes a base QP outside [0, 51]")
 
 
-def _ramp(width, height, axis, low, span):
+def _ramps(width, height, low, span):
+    """G, B, R ramps along x, y and the diagonal, rising from low by span."""
     x = np.arange(width)[None, :]
     y = np.arange(height)[:, None]
-    coord = {"x": x + 0 * y, "y": y + 0 * x, "xy": (x + y) // 2}[axis]
-    peak = int(coord.max()) or 1
+    coord = np.stack(np.broadcast_arrays(x, y, (x + y) // 2))
+    peak = np.maximum(coord.max(axis=(1, 2), keepdims=True), 1)
     return (low + (coord * span) // peak).astype(np.int32)
 
 
@@ -149,61 +140,49 @@ def gen_synthetic(kind: str, width: int = 128, height: int = 128,
     maxv = (1 << bit_depth) - 1
     mid = 1 << (bit_depth - 1)
     amp = int(0.35 * maxv)
+    low = maxv // 16
+
+    def uniform(lo, hi, h, w):
+        # the same samples as three (h, w) draws in G, B, R order: these
+        # ranges draw 32 bits per sample and PCG64 keeps the unused half
+        # of a 64-bit output across calls
+        return rng.integers(lo, hi + 1, (3, h, w), dtype=np.int64
+                            ).astype(np.int32)
 
     def texture(h, w):
-        return rng.integers(mid - amp, mid + amp + 1, (h, w), dtype=np.int64
-                            ).astype(np.int32)
+        return uniform(mid - amp, mid + amp, h, w)
 
     out = []
     if kind == "noise":
         for _ in range(frames):
-            planes = tuple(
-                rng.integers(0, maxv + 1, (height, width), dtype=np.int64
-                             ).astype(np.int32)
-                for _ in range(3)
-            )
-            out.append(Frame(width, height, bit_depth, planes))
+            out.append(Frame(width, height, bit_depth,
+                             uniform(0, maxv, height, width)))
     elif kind == "gradient":
-        low = maxv // 16
-        span = max(1, maxv - 2 * low - frames)
-        bases = (_ramp(width, height, "x", low, span),
-                 _ramp(width, height, "y", low, span),
-                 _ramp(width, height, "xy", low, span))
+        bases = _ramps(width, height, low, max(1, maxv - 2 * low - frames))
         for n in range(frames):
-            planes = tuple((b + n).astype(np.int32) for b in bases)
-            out.append(Frame(width, height, bit_depth, planes))
+            out.append(Frame(width, height, bit_depth, bases + n))
     elif kind == "moving-texture":
-        low = maxv // 16
-        bgs = tuple(_ramp(width, height, ax, low, maxv // 4)
-                    for ax in ("x", "y", "xy"))
+        bgs = _ramps(width, height, low, maxv // 4)
         patch = moving_patch_rect(width, height, frames, shift, 0)[2]
-        patches = tuple(texture(patch, patch) for _ in range(3))
+        patches = texture(patch, patch)
         for n in range(frames):
             px, py, _ = moving_patch_rect(width, height, frames, shift, n)
-            planes = []
-            for ch in range(3):
-                plane = bgs[ch].copy()
-                plane[py: py + patch, px: px + patch] = patches[ch]
-                planes.append(plane)
-            out.append(Frame(width, height, bit_depth, tuple(planes)))
+            planes = bgs.copy()
+            planes[:, py: py + patch, px: px + patch] = patches
+            out.append(Frame(width, height, bit_depth, planes))
     else:  # mixed
-        low = maxv // 16
         hh, hw = height // 2, width // 2
         patch = max(8, min(24, min(hh, hw) // 2))
-        patches = tuple(texture(patch, patch) for _ in range(3))
-        base = tuple(_ramp(width, height, ax, low, maxv // 3)
-                     for ax in ("x", "y", "xy"))
+        patches = texture(patch, patch)
+        base = _ramps(width, height, low, maxv // 3)
         for n in range(frames):
             px = min(hw // 4 + n, width - hw + hw // 4 - patch) if hw else 0
             py = min(hh + hh // 4 + 2 * n, height - patch)
-            planes = []
-            for ch in range(3):
-                plane = base[ch].copy()
-                # top-right quadrant: dense texture, refreshed every frame
-                plane[:hh, hw:] = texture(hh, width - hw)
-                plane[py: py + patch, px: px + patch] = patches[ch]
-                planes.append(plane)
-            out.append(Frame(width, height, bit_depth, tuple(planes)))
+            planes = base.copy()
+            # top-right quadrant: dense texture, refreshed every frame
+            planes[:, :hh, hw:] = texture(hh, width - hw)
+            planes[:, py: py + patch, px: px + patch] = patches
+            out.append(Frame(width, height, bit_depth, planes))
     return Sequence(out)
 
 
@@ -251,7 +230,7 @@ def run_cell(seq: Sequence, grid, mode: str, base_qp: int,
     earlier motion field, so it falls back to its own mean.
     """
     scope = ClampScope(cfg.clamp_scope)
-    base_qps = [base_qp + cfg.channel_qp_offsets[ch] for ch in range(3)]
+    base_qps = (base_qp,) * 3
     use_spatial = mode in ("spaq", "spatial-only")
     use_temporal = mode in ("spaq", "temporal-only")
 
@@ -272,13 +251,12 @@ def run_cell(seq: Sequence, grid, mode: str, base_qp: int,
             fld = estimate_motion_field(
                 pad_plane(frame.planes[G], grid),
                 pad_plane(me_ref.planes[G], grid),
-                grid, cfg.search_range, n,
+                grid, cfg.search_range,
             )
         if mode == ANCHOR_MODE:
             qmap = uniform_qp_map(n, base_qps, grid.n_blocks)
         else:
-            act = (compute_activity_map(frame, grid, cfg.activity_scale)
-                   if use_spatial else None)
+            act = compute_activity_map(frame, grid) if use_spatial else None
             if use_temporal and fld is not None:
                 mags = fld.magnitudes
                 if cfg.v_source == "previous" and prev_mean_mag is not None:
@@ -290,8 +268,7 @@ def run_cell(seq: Sequence, grid, mode: str, base_qp: int,
             qmap = build_qp_map(n, base_qps, grid.n_blocks, activity=act,
                                 magnitudes=mags, mean_magnitude=vmean,
                                 scope=scope)
-        enc = encode_frame(frame, recon_prev, qmap, grid, fld,
-                           cfg.intra_deadzone, cfg.inter_deadzone)
+        enc = encode_frame(frame, recon_prev, qmap, grid, fld)
         total_bits += enc.bits
         channel_bits += np.asarray(enc.channel_bits)
         frame_bits.append(enc.bits)
@@ -358,7 +335,13 @@ def run(cfg: ExperimentConfig, keep_recons: bool = False) -> ExperimentReport:
     if ANCHOR_MODE not in modes:
         modes.insert(0, ANCHOR_MODE)
 
-    report = ExperimentReport(label, dataclasses.asdict(cfg))
+    # The echo keeps the fixed scale, deadzones and (zero) per-channel QP
+    # offsets that used to be config fields, so report.json stays the same
+    # bytes for the same run (sort_keys fixes the key order).
+    echo = dataclasses.asdict(cfg) | {
+        "activity_scale": DEFAULT_SCALE, "intra_deadzone": INTRA_DEADZONE,
+        "inter_deadzone": INTER_DEADZONE, "channel_qp_offsets": (0, 0, 0)}
+    report = ExperimentReport(label, echo)
     for qp in cfg.qps:
         anchor = run_cell(seq, grid, ANCHOR_MODE, qp, cfg)
         for mode in modes:

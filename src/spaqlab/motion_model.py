@@ -27,13 +27,12 @@ class MotionField:
     Euclidean norms and mean_magnitude the frame mean of magnitudes.
     """
 
-    frame_index: int
     vectors: np.ndarray
     magnitudes: np.ndarray
     mean_magnitude: float
 
 
-def motion_field(frame_index: int, vectors) -> MotionField:
+def motion_field(vectors) -> MotionField:
     """MotionField of integer (x, y) vectors.
 
     Magnitudes are sqrt of the exact integer x*x + y*y, which equals
@@ -44,7 +43,7 @@ def motion_field(frame_index: int, vectors) -> MotionField:
     if not len(vecs):
         raise ValueError("a motion field needs at least one PU")
     mags = np.sqrt((vecs * vecs).sum(axis=1).astype(np.float64))
-    return MotionField(frame_index, vecs, mags, sum(mags.tolist()) / len(vecs))
+    return MotionField(vecs, mags, sum(mags.tolist()) / len(vecs))
 
 
 def block_match(cur: np.ndarray, ref: np.ndarray, pu: BlockRef,
@@ -88,9 +87,9 @@ def block_match(cur: np.ndarray, ref: np.ndarray, pu: BlockRef,
 
 
 def estimate_motion_field(cur: np.ndarray, ref: np.ndarray, grid: BlockGrid,
-                          search_range: int = DEFAULT_SEARCH_RANGE,
-                          frame_index: int = 0) -> MotionField:
+                          search_range: int = DEFAULT_SEARCH_RANGE
+                          ) -> MotionField:
     """Motion vectors for every PU of a frame, in grid raster order."""
-    return motion_field(frame_index, [
+    return motion_field([
         block_match(cur, ref, pu, search_range) for pu in grid.blocks
     ])

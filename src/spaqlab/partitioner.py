@@ -87,9 +87,13 @@ def sub_blocks(b: BlockRef):
 
 
 def pad_plane(plane: np.ndarray, grid: BlockGrid) -> np.ndarray:
-    """Edge-replicate a plane out to the grid's padded dimensions."""
-    h, w = plane.shape
+    """Edge-replicate the last two axes out to the grid's padded dimensions.
+
+    Works on one (H, W) plane or a stack of them such as (3, H, W).
+    """
+    h, w = plane.shape[-2:]
     ph, pw = grid.padded_height, grid.padded_width
     if (h, w) == (ph, pw):
         return plane
-    return np.pad(plane, ((0, ph - h), (0, pw - w)), mode="edge")
+    lead = ((0, 0),) * (plane.ndim - 2)
+    return np.pad(plane, lead + ((0, ph - h), (0, pw - w)), mode="edge")

@@ -77,11 +77,10 @@ def ssim_global(ref: Frame, test: Frame) -> float:
         test.bit_depth,
     ):
         raise ValueError("frames must share dimensions and bit depth")
-    scores = [
-        ssim_plane(ref.planes[ch], test.planes[ch], ref.bit_depth)
-        for ch in range(3)
-    ]
-    return sum(scores) / 3.0
+    # one channel at a time: each call's integral images are full-plane
+    # int64 arrays, so three at once would triple the peak memory
+    return sum(ssim_plane(a, b, ref.bit_depth)
+               for a, b in zip(ref.planes, test.planes)) / 3.0
 
 
 def pct_delta(anchor: float, test: float):

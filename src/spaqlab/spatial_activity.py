@@ -61,39 +61,34 @@ class ActivityMap:
     """Activity of every CB for all three channels of one frame.
 
     g, a have shape (3, n_blocks) indexed by channel then raster CB
-    index; m has shape (3,). s is the normalization scale used.
+    index; m has shape (3,).
     """
 
-    s: float
     g: np.ndarray
     m: np.ndarray
     a: np.ndarray
 
 
-def compute_activity_map(frame: Frame, grid: BlockGrid,
-                         s: float = DEFAULT_SCALE) -> ActivityMap:
-    """Activity map for one frame over a block grid.
+def compute_activity_map(frame: Frame, grid: BlockGrid) -> ActivityMap:
+    """Activity map for one frame over a block grid, at scale DEFAULT_SCALE.
 
     Planes are edge-padded to the grid before analysis. Uses a vectorized
     path that is arithmetic-identical to sub_block_variance/cb_activity.
     """
     half = grid.cb_size // 2
-    g = np.empty((3, grid.n_blocks))
-    m = np.empty(3)
-    a = np.empty((3, grid.n_blocks))
-    for ch, plane in enumerate(frame.planes):
-        padded = pad_plane(plane, grid).astype(np.int64)
-        rows, cols = padded.shape[0] // half, padded.shape[1] // half
-        tiles = padded.reshape(rows, half, cols, half)
-        s1 = tiles.sum(axis=(1, 3))
-        s2 = (tiles * tiles).sum(axis=(1, 3))
-        n = half * half
-        var = (n * s2 - s1 * s1).astype(np.float64) / float(n * n)
-        # min over each CB's 2x2 group of sub-block variances
-        quads = var.reshape(grid.rows, 2, grid.cols, 2)
-        g_ch = 1.0 + quads.min(axis=(1, 3)).reshape(-1)
-        m_ch = frame_mean_activity(g_ch.tolist())
-        g[ch] = g_ch
-        m[ch] = m_ch
-        a[ch] = (s * g_ch + m_ch) / (g_ch + s * m_ch)
-    return ActivityMap(s=s, g=g, m=m, a=a)
+    padded = pad_plane(frame.planes, grid)
+    rows, cols = padded.shape[1] // half, padded.shape[2] // half
+    tiles = padded.reshape(3, rows, half, cols, half)
+    # a 12-bit square fits in int32; the sums are exact in int64
+    s1 = tiles.sum(axis=(2, 4), dtype=np.int64)
+    s2 = (tiles * tiles).sum(axis=(2, 4), dtype=np.int64)
+    n = half * half
+    var = (n * s2 - s1 * s1).astype(np.float64) / float(n * n)
+    # min over each CB's 2x2 group of sub-block variances
+    quads = var.reshape(3, grid.rows, 2, grid.cols, 2)
+    g = 1.0 + quads.min(axis=(2, 4)).reshape(3, -1)
+    # exact sequential mean per channel, as frame_mean_activity defines it
+    m = np.array([frame_mean_activity(row) for row in g.tolist()])
+    s = DEFAULT_SCALE
+    a = (s * g + m[:, None]) / (g + s * m[:, None])
+    return ActivityMap(g=g, m=m, a=a)

@@ -30,25 +30,33 @@ def bytes_per_sample(bit_depth: int) -> int:
 
 @dataclass(frozen=True)
 class Frame:
-    """One picture: three same-sized integer sample planes in G, B, R order."""
+    """One picture: its G, B and R samples as one (3, height, width) array.
+
+    planes is C-contiguous int32, indexed channel first (planes[G] is the
+    G plane). A sequence of three (height, width) planes is stacked into
+    that array; any dtype other than int32 is rejected, since the codec
+    subtracts samples and a narrow unsigned type would wrap around.
+    """
 
     width: int
     height: int
     bit_depth: int
-    planes: tuple  # (g, b, r) int32 arrays of shape (height, width)
+    planes: np.ndarray
 
     def __post_init__(self):
         if self.bit_depth not in SUPPORTED_BIT_DEPTHS:
             raise ValueError(f"unsupported bit depth {self.bit_depth}")
-        if len(self.planes) != 3:
-            raise ValueError("a frame needs exactly three planes (G, B, R)")
-        for p in self.planes:
-            if p.shape != (self.height, self.width):
-                raise ValueError(
-                    f"plane shape {p.shape} != ({self.height}, {self.width})"
-                )
-            if p.size and (int(p.min()) < 0 or int(p.max()) > self.max_value):
-                raise ValueError("sample outside [0, 2^bit_depth - 1]")
+        planes = np.ascontiguousarray(self.planes)
+        object.__setattr__(self, "planes", planes)
+        if planes.dtype != np.int32:
+            raise ValueError(f"samples must be int32, got {planes.dtype}")
+        if planes.shape != (3, self.height, self.width):
+            raise ValueError(
+                f"planes shape {planes.shape} != (3, {self.height}, {self.width})"
+            )
+        if planes.size and (int(planes.min()) < 0
+                            or int(planes.max()) > self.max_value):
+            raise ValueError("sample outside [0, 2^bit_depth - 1]")
 
     @property
     def max_value(self) -> int:
@@ -117,17 +125,14 @@ def load_raw(path, width: int, height: int, bit_depth: int,
 
     dtype = np.uint8 if bit_depth == 8 else np.dtype("<u2")
     mask = (1 << bit_depth) - 1
-    plane_samples = width * height
 
     frames = []
     with open(path, "rb") as fh:
         for _ in range(count):
-            planes = []
-            for _ in range(3):
-                raw = np.fromfile(fh, dtype=dtype, count=plane_samples)
-                plane = (raw.astype(np.int32) & mask).reshape(height, width)
-                planes.append(plane)
-            frames.append(Frame(width, height, bit_depth, tuple(planes)))
+            raw = np.fromfile(fh, dtype=dtype, count=3 * width * height)
+            planes = raw.astype(np.int32).reshape(3, height, width)
+            planes &= mask
+            frames.append(Frame(width, height, bit_depth, planes))
     return Sequence(frames)
 
 
@@ -136,5 +141,4 @@ def write_raw(seq: Sequence, path) -> None:
     dtype = np.uint8 if seq.bit_depth == 8 else np.dtype("<u2")
     with open(path, "wb") as fh:
         for frame in seq.frames:
-            for plane in frame.planes:
-                plane.astype(dtype).tofile(fh)
+            frame.planes.astype(dtype).tofile(fh)

@@ -124,7 +124,7 @@ def test_equation_oracles():
 
     for _ in range(1000):
         x, y = (int(v) for v in rng.integers(-64, 65, 2))
-        assert abs(motion_field(0, [(x, y)]).magnitudes[0]
+        assert abs(motion_field([(x, y)]).magnitudes[0]
                    - math.sqrt(x * x + y * y)) <= 1e-9
 
     for _ in range(1000):
@@ -132,7 +132,7 @@ def test_equation_oracles():
         oracle = math.fsum(
             math.sqrt(float(a * a + b * b)) for a, b in comps
         ) / len(comps)
-        assert abs(motion_field(0, comps).mean_magnitude - oracle) <= 1e-9
+        assert abs(motion_field(comps).mean_magnitude - oracle) <= 1e-9
 
     for _ in range(1000):
         mag = float(rng.uniform(0.0, 10.0))
@@ -184,7 +184,7 @@ def test_motion_suite():
     for n in range(1, SWEEP_FRAMES):
         cur = pad_plane(seq.frames[n].planes[G], grid)
         ref = pad_plane(seq.frames[n - 1].planes[G], grid)
-        field = estimate_motion_field(cur, ref, grid, 16, n)
+        field = estimate_motion_field(cur, ref, grid, 16)
         px, py, side = moving_patch_rect(*SWEEP_DIMS, SWEEP_FRAMES, (3, 4), n)
         qx, qy, _ = moving_patch_rect(*SWEEP_DIMS, SWEEP_FRAMES, (3, 4), n - 1)
         assert (px - qx, py - qy) == (3, 4)  # no edge clamping engaged

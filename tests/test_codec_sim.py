@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spaqlab.codec_sim import (
+    INTER_DEADZONE,
     bit_cost,
     dct2,
     dequantize,
@@ -11,8 +14,8 @@ from spaqlab.codec_sim import (
     idct2,
     quantize,
 )
-from spaqlab.motion_model import motion_field
-from spaqlab.partitioner import build_grid
+from spaqlab.motion_model import estimate_motion_field, motion_field
+from spaqlab.partitioner import build_grid, pad_plane
 from spaqlab.qp_model import uniform_qp_map
 from spaqlab.video_io import Frame
 
@@ -157,7 +160,7 @@ def test_all_zero_frame_minimal_cost():
     qmap = uniform_qp_map(0, (27, 27, 27), grid.n_blocks)
     # inter against an identical reference: all levels zero, only the
     # significance map is paid
-    still = motion_field(1, np.zeros((grid.n_blocks, 2), dtype=np.int64))
+    still = motion_field(np.zeros((grid.n_blocks, 2), dtype=np.int64))
     enc = encode_frame(zero, zero, qmap, grid, still)
     assert enc.bits == 3 * w * h
     assert enc.sse == (0, 0, 0)
@@ -173,7 +176,7 @@ def test_static_sequence_inter_cheaper_than_intra():
     grid = build_grid(64, 64, 1)
     qmap = uniform_qp_map(0, (27, 27, 27), grid.n_blocks)
     intra = encode_frame(frame, None, qmap, grid)
-    still = motion_field(1, np.zeros((grid.n_blocks, 2), dtype=np.int64))
+    still = motion_field(np.zeros((grid.n_blocks, 2), dtype=np.int64))
     inter = encode_frame(frame, intra.recon, qmap, grid, still)
     assert inter.bits < intra.bits
 
@@ -233,10 +236,10 @@ def test_inter_frame_needs_matching_motion_field():
         encode_frame(frame, frame, qmap, grid)
     with pytest.raises(ValueError, match="needs a motion field"):
         encode_frame(frame, frame, qmap, grid,
-                     motion_field(1, [(0, 0)] * (grid.n_blocks - 1)))
+                     motion_field([(0, 0)] * (grid.n_blocks - 1)))
     with pytest.raises(ValueError, match="leaves the reference"):
         encode_frame(frame, frame, qmap, grid,
-                     motion_field(1, [(1, 0)] * grid.n_blocks))
+                     motion_field([(1, 0)] * grid.n_blocks))
 
 
 def test_partial_frame_encodes_and_crops():
@@ -252,3 +255,62 @@ def test_partial_frame_encodes_and_crops():
     assert enc.recon.width == 53 and enc.recon.height == 37
     for p in enc.recon.planes:
         assert p.max() <= 1023 and p.min() >= 0
+
+
+def test_stacked_blocks_match_block_by_block():
+    # the leading axis of a (3, S, S) stack gives, bit for bit, what each
+    # (S, S) block gives on its own
+    rng = np.random.default_rng(8)
+    qsteps = np.array([0.8, 11.3, 57.0])
+    for n in (4, 16, 32, 64):
+        x = rng.integers(-4095, 4096, (3, n, n))
+        coeffs = dct2(x)
+        levels = quantize(coeffs, qsteps[:, None, None], INTER_DEADZONE)
+        rec = idct2(dequantize(levels, qsteps[:, None, None]))
+        bits = bit_cost(levels)
+        assert bits.shape == (3,)
+        for ch in range(3):
+            assert np.array_equal(coeffs[ch], dct2(x[ch]))
+            assert np.array_equal(
+                levels[ch], quantize(coeffs[ch], qsteps[ch], INTER_DEADZONE))
+            assert np.array_equal(
+                rec[ch], idct2(dequantize(levels[ch], qsteps[ch])))
+            assert bits[ch] == bit_cost(levels[ch])
+    with pytest.raises(ValueError):
+        quantize(np.zeros((3, 1, 1)), np.array([1.0, 0.0, 1.0])[:, None, None],
+                 0.25)
+
+
+@st.composite
+def coding_cases(draw):
+    w, h = draw(st.integers(8, 40)), draw(st.integers(8, 40))
+    bit_depth = draw(st.sampled_from((8, 10, 12)))
+    grid = build_grid(w, h, draw(st.sampled_from((0, 1, 2))))
+    qps = draw(st.tuples(*[st.integers(0, 51)] * 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = [Frame(w, h, bit_depth,
+                    rng.integers(0, 1 << bit_depth, (3, h, w), dtype=np.int32))
+              for _ in range(2)]
+    return frames, grid, qps
+
+
+def check_encoded(frame, enc):
+    recon = enc.recon.planes
+    assert recon.shape == frame.planes.shape
+    assert recon.min() >= 0 and recon.max() <= (1 << frame.bit_depth) - 1
+    diff = (frame.planes - recon).astype(np.int64)
+    assert enc.sse == tuple(int((d * d).sum()) for d in diff)
+    assert enc.bits == sum(enc.channel_bits)
+
+
+@settings(deadline=None, max_examples=40)
+@given(coding_cases())
+def test_encode_frame_invariants_property(case):
+    (first, second), grid, qps = case
+    qmap = uniform_qp_map(0, qps, grid.n_blocks)
+    intra = encode_frame(first, None, qmap, grid)
+    check_encoded(first, intra)
+    field = estimate_motion_field(pad_plane(second.planes[0], grid),
+                                  pad_plane(intra.recon.planes[0], grid),
+                                  grid, 4)
+    check_encoded(second, encode_frame(second, intra.recon, qmap, grid, field))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -57,6 +58,29 @@ def test_synthetic_determinism():
         )
 
 
+# SHA-256 over every frame's G, B, R samples as little-endian int32, for
+# 67x65 frames (odd sizes, unlike the benchmark inputs), 3 frames, seed 5
+SYNTHETIC_DIGESTS = {
+    (8, "noise"): "bdb5862caf4c109edc4d6f4f004575e04cd983312924ac1f705d70f5b501ba49",
+    (8, "gradient"): "ebdba0a63517f04ee94f42256ed6a6a43ada75c9ad4e7435d5cfd582e78c72ff",
+    (8, "moving-texture"): "23255a327f9cf17a3af5d31fb9a8574dd81b39e6d17d3e00b829aa76db31edd7",
+    (8, "mixed"): "bb2269267c2f098d47125bed285c104449cc130ed29a0eab5e92162f4196380e",
+    (10, "noise"): "e35f9c3ba8fe9c81ae2ec0aa877d37e007efa605ae5e51a66ba8b03b75dca4ca",
+    (10, "gradient"): "b5b0f359c6f5c3c15d9db962b7aed9d61b39e15864780c2d69289b6c7bfd9420",
+    (10, "moving-texture"): "ef60bfc6606523ea4f8b81cd3c2fb8e52823021f9e13a13336f58aa27ff74e7d",
+    (10, "mixed"): "19ffe08913d053e3a5cd9bf56d374609abfd6c9e46251c0442b38567294ee34c",
+}
+
+
+@pytest.mark.parametrize("bit_depth, kind", sorted(SYNTHETIC_DIGESTS))
+def test_synthetic_samples_pinned_at_odd_size(bit_depth, kind):
+    seq = gen_synthetic(kind, 67, 65, 3, bit_depth, seed=5)
+    h = hashlib.sha256()
+    for f in seq.frames:
+        h.update(np.ascontiguousarray(f.planes, dtype="<i4").tobytes())
+    assert h.hexdigest() == SYNTHETIC_DIGESTS[bit_depth, kind]
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         gen_synthetic("plasma", 64, 64, 2)
@@ -82,7 +106,7 @@ def test_moving_texture_dominant_magnitude():
     for n in range(1, 4):
         cur = pad_plane(seq.frames[n].planes[G], grid)
         ref = pad_plane(seq.frames[n - 1].planes[G], grid)
-        field = estimate_motion_field(cur, ref, grid, 16, n)
+        field = estimate_motion_field(cur, ref, grid, 16)
         mags.extend(field.magnitudes.tolist())
     assert 5.0 in mags  # the planted shift is recovered somewhere
 
@@ -251,11 +275,27 @@ def test_report_determinism_small(tmp_path):
     run(small_cfg(out_dir=str(d1)))
     assert (d1 / "report.csv").read_bytes() == csv_first
     assert (d1 / "report.json").read_bytes() == json_first
-    # report.csv carries no config echo, so it is also byte-stable
-    # across output directories
+    # across output directories every file but report.json is byte-stable,
+    # and report.json differs only in the echoed out_dir
     d2 = tmp_path / "b"
     run(small_cfg(out_dir=str(d2)))
     assert (d2 / "report.csv").read_bytes() == csv_first
+    names = sorted(p.relative_to(d1) for p in d1.rglob("*") if p.is_file())
+    assert names == sorted(p.relative_to(d2) for p in d2.rglob("*")
+                           if p.is_file())
+    for name in names:
+        if str(name) != "report.json":
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+    j1, j2 = (json.loads((d / "report.json").read_text()) for d in (d1, d2))
+    assert j1["config"].pop("out_dir") == str(d1)
+    assert j2["config"].pop("out_dir") == str(d2)
+    assert j1 == j2
+    # the fixed coding constants are echoed next to the config fields
+    assert {k: j1["config"][k] for k in (
+        "activity_scale", "intra_deadzone", "inter_deadzone",
+        "channel_qp_offsets")} == {
+        "activity_scale": 2.0, "intra_deadzone": 1 / 3,
+        "inter_deadzone": 1 / 6, "channel_qp_offsets": [0, 0, 0]}
 
 
 def test_cli_end_to_end(tmp_path):

@@ -94,7 +94,7 @@ def test_result_sad_never_beats_zero_vector():
 
 
 def test_mv_magnitudes():
-    mags = motion_field(0, [(0, 0), (3, 4), (-2, 1)]).magnitudes
+    mags = motion_field([(0, 0), (3, 4), (-2, 1)]).magnitudes
     assert mags[0] == 0.0
     assert mags[1] == 5.0
     assert mags[2] == pytest.approx(math.sqrt(5))
@@ -102,14 +102,14 @@ def test_mv_magnitudes():
 
 def test_frame_mean_magnitude():
     vectors = [(0, 0), (3, 4), (6, 8), (5, 0)]  # magnitudes 0, 5, 10, 5
-    field = motion_field(0, vectors)
+    field = motion_field(vectors)
     assert field.mean_magnitude == 5.0
     assert field.vectors.shape == (4, 2) and field.vectors.dtype == np.int64
     assert field.vectors.tolist() == [list(v) for v in vectors]
-    assert motion_field(0, [(7, 0)]).mean_magnitude == 7.0
-    assert motion_field(0, [(0, 0)] * 3).mean_magnitude == 0.0
+    assert motion_field([(7, 0)]).mean_magnitude == 7.0
+    assert motion_field([(0, 0)] * 3).mean_magnitude == 0.0
     with pytest.raises(ValueError):
-        motion_field(0, [])
+        motion_field([])
 
 
 def test_mean_magnitude_matches_naive_oracle():
@@ -118,7 +118,7 @@ def test_mean_magnitude_matches_naive_oracle():
         n = int(rng.integers(1, 12))
         comps = rng.integers(-16, 17, (n, 2))
         oracle = sum(math.sqrt(float(x * x + y * y)) for x, y in comps) / n
-        assert motion_field(0, comps).mean_magnitude == pytest.approx(
+        assert motion_field(comps).mean_magnitude == pytest.approx(
             oracle, abs=1e-9)
 
 
@@ -159,7 +159,7 @@ def test_field_mean_recomputable():
     ref = rng.integers(0, 256, (64, 64), dtype=np.int64).astype(np.int32)
     cur = np.roll(ref, (2, 1), axis=(0, 1))
     grid = build_grid(64, 64, 1)
-    field = estimate_motion_field(cur, ref, grid, 4, frame_index=3)
+    field = estimate_motion_field(cur, ref, grid, 4)
     assert len(field.vectors) == grid.n_blocks == 4
     assert field.mean_magnitude == pytest.approx(
         sum(field.magnitudes) / len(field.vectors), abs=1e-9
@@ -196,12 +196,11 @@ def padded_plane_pairs(draw):
 
 
 @settings(deadline=None, max_examples=60)
-@given(padded_plane_pairs(), st.integers(0, 5), st.integers(0, 99))
-def test_field_matches_exhaustive_oracle_property(planes, search_range, n):
+@given(padded_plane_pairs(), st.integers(0, 5))
+def test_field_matches_exhaustive_oracle_property(planes, search_range):
     cur, ref, grid = planes
     for r in {0, search_range}:
-        field = estimate_motion_field(cur, ref, grid, r, n)
-        assert field.frame_index == n
+        field = estimate_motion_field(cur, ref, grid, r)
         assert field.vectors.shape == (grid.n_blocks, 2)
         assert field.vectors.tolist() == [
             list(brute_force_match(cur, ref, pu, r)) for pu in grid.blocks
@@ -218,7 +217,7 @@ vector_lists = st.lists(
 @given(vector_lists)
 @example([(-91, -98), (43, -98), (576, 600)])
 def test_magnitudes_equal_hypot_property(vectors):
-    mags = motion_field(0, vectors).magnitudes
+    mags = motion_field(vectors).magnitudes
     assert mags.dtype == np.float64
     assert mags.tolist() == [math.hypot(x, y) for x, y in vectors]
 
@@ -228,4 +227,4 @@ def test_mean_magnitude_is_sequential_sum_property(vectors):
     total = 0.0
     for x, y in vectors:
         total += math.hypot(x, y)
-    assert motion_field(0, vectors).mean_magnitude == total / len(vectors)
+    assert motion_field(vectors).mean_magnitude == total / len(vectors)

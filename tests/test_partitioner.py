@@ -99,6 +99,10 @@ def test_pad_plane_replicates_edges():
     assert padded.shape == (64, 96)
     assert (padded[:33, 65:] == plane[:, -1:]).all()
     assert (padded[33:, :65] == plane[-1:, :]).all()
+    # a (3, H, W) stack pads its last two axes, plane by plane
+    stack = np.stack([plane, plane + 1, plane * 2])
+    assert np.array_equal(pad_plane(stack, grid),
+                          [padded, padded + 1, padded * 2])
     # no copy when already aligned
     aligned = np.zeros((64, 96), dtype=np.int32)
     assert pad_plane(aligned, grid) is aligned

@@ -149,5 +149,5 @@ def test_activity_map_matches_per_block_path_exactly():
             m = frame_mean_activity(gs)
             for i, g in enumerate(gs):
                 assert amap.g[ch, i] == g
-                assert amap.a[ch, i] == normalized_activity(g, m, amap.s)
+                assert amap.a[ch, i] == normalized_activity(g, m)
             assert amap.m[ch] == m

@@ -59,7 +59,7 @@ def test_empty_file_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("bit_depth", [8, 10, 12])
-@pytest.mark.parametrize("dims", [(2, 2), (7, 5), (16, 9)])
+@pytest.mark.parametrize("dims", [(1, 1), (2, 2), (7, 5), (16, 9)])
 def test_round_trip(tmp_path, bit_depth, dims):
     rng = np.random.default_rng(42)
     w, h = dims
@@ -69,6 +69,8 @@ def test_round_trip(tmp_path, bit_depth, dims):
     back = load_raw(path, w, h, bit_depth)
     assert len(back.frames) == 3
     for f1, f2 in zip(seq.frames, back.frames):
+        assert f2.planes.shape == (3, h, w)
+        assert f2.planes.dtype == np.int32 and f2.planes.flags.c_contiguous
         for p1, p2 in zip(f1.planes, f2.planes):
             assert np.array_equal(p1, p2)
 
@@ -123,5 +125,9 @@ def test_frame_validation():
         Frame(2, 2, 8, (good, good))
     with pytest.raises(ValueError):
         Frame(2, 2, 8, (good, good, np.full((2, 2), 256, dtype=np.int32)))
+    # any dtype but int32: uint8 samples would wrap in the codec's src - pred
+    for dtype in (np.uint8, np.uint16, np.int64):
+        with pytest.raises(ValueError, match="int32"):
+            Frame(2, 2, 8, np.zeros((3, 2, 2), dtype=dtype))
     with pytest.raises(ValueError):
         Sequence([])
