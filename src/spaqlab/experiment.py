@@ -102,6 +102,9 @@ class ExperimentConfig:
         ClampScope(self.clamp_scope)
         if self.v_source not in ("current", "previous"):
             raise ValueError("v_source must be 'current' or 'previous'")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} is negative; the generator "
+                             "takes seeds >= 0")
 
 
 def _ramps(width, height, low, span):
@@ -222,12 +225,14 @@ class CellResult:
 
 
 def run_cell(seq: Sequence, grid, mode: str, base_qp: int,
-             cfg: ExperimentConfig) -> CellResult:
+             cfg: ExperimentConfig, fields: dict | None = None) -> CellResult:
     """Code a whole sequence in one mode at one base QP.
 
     With cfg.v_source "previous", the temporal offsets of frame n are
     thresholded against the mean magnitude of frame n-1; frame 1 has no
-    earlier motion field, so it falls back to its own mean.
+    earlier motion field, so it falls back to its own mean. fields is
+    handed to estimate_motion_field, so cells that share it search each
+    distinct (current, reference) plane pair once.
     """
     scope = ClampScope(cfg.clamp_scope)
     base_qps = (base_qp,) * 3
@@ -251,7 +256,7 @@ def run_cell(seq: Sequence, grid, mode: str, base_qp: int,
             fld = estimate_motion_field(
                 pad_plane(frame.planes[G], grid),
                 pad_plane(me_ref.planes[G], grid),
-                grid, cfg.search_range,
+                grid, cfg.search_range, fields,
             )
         if mode == ANCHOR_MODE:
             qmap = uniform_qp_map(n, base_qps, grid.n_blocks)
@@ -322,7 +327,9 @@ def run(cfg: ExperimentConfig, keep_recons: bool = False) -> ExperimentReport:
     column is computed against) even when absent from cfg.modes. Writes
     report files to cfg.out_dir, if set, which is created before any
     input is read. Reconstructed frames are dropped from the returned
-    cells unless keep_recons is set.
+    cells unless keep_recons is set. All cells share one store of motion
+    fields, so a search repeated across cells (every open-loop search, and
+    closed-loop ones whose reconstructions agree) runs once.
     """
     cfg.validate()
     if cfg.out_dir is not None:
@@ -342,11 +349,12 @@ def run(cfg: ExperimentConfig, keep_recons: bool = False) -> ExperimentReport:
         "activity_scale": DEFAULT_SCALE, "intra_deadzone": INTRA_DEADZONE,
         "inter_deadzone": INTER_DEADZONE, "channel_qp_offsets": (0, 0, 0)}
     report = ExperimentReport(label, echo)
+    fields = {}
     for qp in cfg.qps:
-        anchor = run_cell(seq, grid, ANCHOR_MODE, qp, cfg)
+        anchor = run_cell(seq, grid, ANCHOR_MODE, qp, cfg, fields)
         for mode in modes:
             cell = anchor if mode == ANCHOR_MODE else run_cell(
-                seq, grid, mode, qp, cfg)
+                seq, grid, mode, qp, cfg, fields)
             cell.set_deltas(anchor)
             report.cells[(mode, qp)] = cell
             if not keep_recons:

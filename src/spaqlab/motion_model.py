@@ -9,6 +9,7 @@ direction of content motion: the matched reference block sits at
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,9 +88,27 @@ def block_match(cur: np.ndarray, ref: np.ndarray, pu: BlockRef,
 
 
 def estimate_motion_field(cur: np.ndarray, ref: np.ndarray, grid: BlockGrid,
-                          search_range: int = DEFAULT_SEARCH_RANGE
-                          ) -> MotionField:
-    """Motion vectors for every PU of a frame, in grid raster order."""
-    return motion_field([
+                          search_range: int = DEFAULT_SEARCH_RANGE,
+                          fields: dict | None = None) -> MotionField:
+    """Motion vectors for every PU of a frame, in grid raster order.
+
+    With fields, a dict shared across calls, each distinct search is run
+    once: the field is stored under a SHA-256 digest of the planes' shapes,
+    dtypes and samples, the grid's geometry and the search range, and a
+    later call with the same inputs returns the stored field unsearched.
+    """
+    if fields is not None:
+        digest = hashlib.sha256(repr((
+            cur.shape, cur.dtype.str, ref.shape, ref.dtype.str, grid.cb_size,
+            grid.cols, grid.rows, search_range)).encode())
+        digest.update(np.ascontiguousarray(cur).data)
+        digest.update(np.ascontiguousarray(ref).data)
+        key = digest.digest()
+        if key in fields:
+            return fields[key]
+    field = motion_field([
         block_match(cur, ref, pu, search_range) for pu in grid.blocks
     ])
+    if fields is not None:
+        fields[key] = field
+    return field

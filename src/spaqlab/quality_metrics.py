@@ -26,15 +26,6 @@ def mse_to_psnr(mse: float, bit_depth: int) -> float:
     return min(10.0 * math.log10(peak * peak / mse), PSNR_CAP_DB)
 
 
-def _window_sums(x: np.ndarray) -> np.ndarray:
-    """Sum of every SSIM window (stride 1), exact in int64."""
-    win = SSIM_WINDOW
-    h, w = x.shape
-    c = np.zeros((h + 1, w + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(x, axis=0, dtype=np.int64), axis=1, out=c[1:, 1:])
-    return (c[win:, win:] - c[:-win, win:] - c[win:, :-win] + c[:-win, :-win])
-
-
 def ssim_plane(ref_plane: np.ndarray, test_plane: np.ndarray,
                bit_depth: int) -> float:
     """Mean SSIM of one channel over all window positions."""
@@ -47,26 +38,56 @@ def ssim_plane(ref_plane: np.ndarray, test_plane: np.ndarray,
     peak = (1 << bit_depth) - 1
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
-    n = SSIM_WINDOW * SSIM_WINDOW
+    win = SSIM_WINDOW
+    n = win * win
 
-    a = ref_plane.astype(np.int64)
-    b = test_plane.astype(np.int64)
-    sa = _window_sums(a).astype(np.float64)
-    sb = _window_sums(b).astype(np.float64)
-    saa = _window_sums(a * a).astype(np.float64)
-    sbb = _window_sums(b * b).astype(np.float64)
-    sab = _window_sums(a * b).astype(np.float64)
+    # One integral image, one window-sum and one product buffer serve all
+    # five statistics, and the float stage works in place: fresh full-plane
+    # temporaries per call cost a page fault per 4 KiB at 960x540.
+    integral = np.zeros((h + 1, w + 1), dtype=np.int64)
+    inner = integral[1:, 1:]
+    sums = np.empty((h - win + 1, w - win + 1), dtype=np.int64)
+    prod = np.empty((h, w), dtype=np.int64)
 
-    mu_a = sa / n
-    mu_b = sb / n
-    var_a = saa / n - mu_a * mu_a
-    var_b = sbb / n - mu_b * mu_b
-    cov = sab / n - mu_a * mu_b
+    def window_mean(x, out=None):
+        """Mean of x over every window, from exact int64 window sums."""
+        np.cumsum(x, axis=0, dtype=np.int64, out=inner)
+        np.cumsum(inner, axis=1, out=inner)
+        np.subtract(integral[win:, win:], integral[:-win, win:], out=sums)
+        np.subtract(sums, integral[win:, :-win], out=sums)
+        np.add(sums, integral[:-win, :-win], out=sums)
+        return np.divide(sums, n, out=out)
 
-    ssim_map = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (
-        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    )
-    return float(ssim_map.mean())
+    def product(x, y):
+        return np.multiply(x, y, dtype=np.int64, out=prod)
+
+    mu_a = window_mean(ref_plane)
+    mu_b = window_mean(test_plane)
+    mu_ab = mu_a * mu_b
+    mu_aa = np.multiply(mu_a, mu_a, out=mu_a)
+    mu_bb = np.multiply(mu_b, mu_b, out=mu_b)
+    var_a = window_mean(product(ref_plane, ref_plane))
+    var_a -= mu_aa
+    var_b = window_mean(product(test_plane, test_plane))
+    var_b -= mu_bb
+    # the SSIM map is ((2*mu_ab + c1) * (2*cov + c2)) /
+    # ((mu_aa + mu_bb + c1) * (var_a + var_b + c2)), in that order
+    den = var_a
+    den += var_b
+    den += c2
+    cov = window_mean(product(ref_plane, test_plane), out=var_b)
+    cov -= mu_ab
+    cov *= 2.0
+    cov += c2
+    num = mu_ab
+    num *= 2.0
+    num += c1
+    num *= cov
+    mu_aa += mu_bb
+    mu_aa += c1
+    mu_aa *= den
+    num /= mu_aa
+    return float(num.mean())
 
 
 def ssim_global(ref: Frame, test: Frame) -> float:

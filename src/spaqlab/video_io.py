@@ -10,6 +10,7 @@ File layout (bit-exact contract, no container):
 from __future__ import annotations
 
 import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,8 +104,9 @@ def load_raw(path, width: int, height: int, bit_depth: int,
     """Read a raw planar G,B,R file into a Sequence.
 
     Returns min(max_frames, available) frames; samples are masked to
-    bit_depth bits. Raises RawFormatError when the file size is not a
-    whole number of frames, or the file holds none.
+    bit_depth bits. Raises RawFormatError when path is not a regular file,
+    when the file size is not a whole number of frames, or the file holds
+    none.
     """
     if bit_depth not in SUPPORTED_BIT_DEPTHS:
         raise ValueError(f"unsupported bit depth {bit_depth}")
@@ -113,7 +115,10 @@ def load_raw(path, width: int, height: int, bit_depth: int,
     if max_frames is not None and max_frames < 1:
         raise ValueError("max_frames must be at least 1")
 
-    fsize = os.path.getsize(path)
+    info = os.stat(path)
+    if not stat.S_ISREG(info.st_mode):
+        raise RawFormatError(f"{path} is not a regular file")
+    fsize = info.st_size
     fbytes = frame_byte_size(width, height, bit_depth)
     if fsize == 0 or fsize % fbytes != 0:
         raise RawFormatError(

@@ -208,6 +208,8 @@ def test_config_validation():
         small_cfg(cb_depth=3).validate()
     with pytest.raises(ValueError):
         small_cfg(clamp_scope="middle").validate()
+    with pytest.raises(ValueError, match="seed -1"):
+        small_cfg(seed=-1).validate()
     with pytest.raises(ValueError):
         ExperimentConfig().validate()  # neither input nor synthetic
     with pytest.raises(ValueError):
@@ -333,6 +335,25 @@ def test_cli_bad_input_file(tmp_path):
     assert code == 1
 
 
+def test_cli_negative_seed_rejected_before_work(tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["--synthetic", "noise", "--seed", "-1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert "seed -1" in capsys.readouterr().err
+
+
+def test_cli_directory_input_rejected(tmp_path, capsys):
+    code = main([
+        "--input", str(tmp_path), "--width", "64", "--height", "64",
+        "--frames", "2", "--qp", "22", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "is not a regular file" in err
+
+
 def test_cli_unwritable_out_fails_before_coding(tmp_path, monkeypatch, capsys):
     calls = []
     real_run_cell = experiment.run_cell
@@ -369,6 +390,38 @@ def test_open_loop_and_v_source_paths():
     cfg = small_cfg(open_loop_me=True, v_source="previous", qps=(27,))
     report = run(cfg)
     assert report.cells[("spaq", 27)].bits <= report.cells[(ANCHOR_MODE, 27)].bits
+
+
+def test_open_loop_run_searches_each_frame_pair_once(searched):
+    cfg = small_cfg(open_loop_me=True, modes=experiment.MODES)
+    report = run(cfg)
+    assert len(report.cells) == 4 * 2
+    grid = build_grid(cfg.width, cfg.height, cfg.cb_depth)
+    assert len(searched) == (cfg.frames - 1) * grid.n_blocks
+
+
+def test_closed_loop_sharing_keeps_every_file(tmp_path, monkeypatch,
+                                              searched):
+    out = tmp_path / "o"
+    cfg = dict(synthetic="moving-texture", frames=4, qps=(22, 27, 32),
+               modes=experiment.MODES, out_dir=str(out))
+
+    def snapshot():
+        searched.clear()
+        run(small_cfg(**cfg))
+        return {p.relative_to(out): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()}
+
+    shared = snapshot()
+    shared_searches = len(searched)
+    real = experiment.estimate_motion_field
+    monkeypatch.setattr(
+        experiment, "estimate_motion_field",
+        lambda cur, ref, grid, search_range, fields=None:
+            real(cur, ref, grid, search_range))
+    assert snapshot() == shared
+    # some reconstructions agree across cells, so sharing skipped searches
+    assert shared_searches < len(searched)
 
 
 def test_clamp_scope_term_runs():

@@ -166,6 +166,35 @@ def test_field_mean_recomputable():
     )
 
 
+def test_shared_fields_search_each_input_once(searched):
+    rng = np.random.default_rng(8)
+    ref = rng.integers(0, 256, (64, 64), dtype=np.int64).astype(np.int32)
+    cur = np.roll(ref, (3, -2), axis=(0, 1))
+    grid = build_grid(64, 64, 1)
+    fresh = estimate_motion_field(cur, ref, grid, 4)
+    searched.clear()
+
+    fields = {}
+    first = estimate_motion_field(cur, ref, grid, 4, fields)
+    assert first.vectors.tolist() == fresh.vectors.tolist()
+    assert first.magnitudes.tolist() == fresh.magnitudes.tolist()
+    assert first.mean_magnitude == fresh.mean_magnitude
+    assert len(searched) == grid.n_blocks and len(fields) == 1
+    # equal samples in other arrays are a hit: nothing is searched
+    assert estimate_motion_field(cur.copy(), ref.copy(), grid, 4,
+                                 fields) is first
+    assert len(searched) == grid.n_blocks
+
+    # one changed reference sample, or another search range, is a miss
+    nudged = ref.copy()
+    nudged[40, 17] ^= 1
+    for args in ((cur, nudged, grid, 4), (cur, ref, grid, 2)):
+        searched.clear()
+        estimate_motion_field(*args, fields)
+        assert len(searched) == grid.n_blocks
+    assert len(fields) == 3
+
+
 def test_mismatched_planes_rejected():
     a = np.zeros((16, 16), dtype=np.int32)
     b = np.zeros((16, 8), dtype=np.int32)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spaqlab.experiment import CellResult
 from spaqlab.quality_metrics import (
@@ -34,6 +36,37 @@ def brute_force_ssim(ref, test, bit_depth, window=8):
                 / ((mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2))
             )
     return float(np.mean(scores))
+
+
+def integral_image_ssim(ref, test, bit_depth, window=8):
+    """SSIM by the straightforward integral-image expression, one fresh
+    array per step: the operation order ssim_plane must reproduce."""
+    def window_sums(x):
+        h, w = x.shape
+        c = np.zeros((h + 1, w + 1), dtype=np.int64)
+        np.cumsum(np.cumsum(x, axis=0, dtype=np.int64), axis=1, out=c[1:, 1:])
+        return (c[window:, window:] - c[:-window, window:]
+                - c[window:, :-window] + c[:-window, :-window])
+
+    peak = (1 << bit_depth) - 1
+    c1 = (0.01 * peak) ** 2
+    c2 = (0.03 * peak) ** 2
+    n = window * window
+    a = ref.astype(np.int64)
+    b = test.astype(np.int64)
+    sa = window_sums(a).astype(np.float64)
+    sb = window_sums(b).astype(np.float64)
+    saa = window_sums(a * a).astype(np.float64)
+    sbb = window_sums(b * b).astype(np.float64)
+    sab = window_sums(a * b).astype(np.float64)
+    mu_a = sa / n
+    mu_b = sb / n
+    var_a = saa / n - mu_a * mu_a
+    var_b = sbb / n - mu_b * mu_b
+    cov = sab / n - mu_a * mu_b
+    ssim_map = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (
+        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2))
+    return float(ssim_map.mean())
 
 
 def rand_frame(rng, w=16, h=16, depth=8):
@@ -76,6 +109,20 @@ def test_ssim_matches_brute_force_oracle():
         ).astype(np.int32)
         got = ssim_plane(ref, test, depth)
         assert got == pytest.approx(brute_force_ssim(ref, test, depth), abs=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(8, 64), st.integers(8, 64), st.sampled_from((8, 10, 12)),
+       st.integers(0, 2**32 - 1), st.integers(0, 64))
+def test_ssim_plane_equals_integral_image_expression_property(
+        h, w, depth, seed, spread):
+    rng = np.random.default_rng(seed)
+    maxv = (1 << depth) - 1
+    ref = rng.integers(0, maxv + 1, (h, w)).astype(np.int32)
+    noise = rng.integers(-spread, spread + 1, (h, w))
+    test = np.clip(ref + noise, 0, maxv).astype(np.int32)
+    assert ssim_plane(ref, test, depth) == integral_image_ssim(ref, test, depth)
+    assert ssim_plane(test, ref, depth) == integral_image_ssim(test, ref, depth)
 
 
 def test_channel_replaced_by_its_mean():

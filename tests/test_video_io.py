@@ -58,6 +58,11 @@ def test_empty_file_rejected(tmp_path):
         load_raw(path, 2, 2, 8)
 
 
+def test_directory_rejected(tmp_path):
+    with pytest.raises(RawFormatError, match="is not a regular file"):
+        load_raw(tmp_path, 2, 2, 8)
+
+
 @pytest.mark.parametrize("bit_depth", [8, 10, 12])
 @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (7, 5), (16, 9)])
 def test_round_trip(tmp_path, bit_depth, dims):
