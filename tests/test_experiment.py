@@ -81,6 +81,78 @@ def test_synthetic_samples_pinned_at_odd_size(bit_depth, kind):
     assert h.hexdigest() == SYNTHETIC_DIGESTS[bit_depth, kind]
 
 
+# SHA-256 of every file run() emits for a 64x64 moving-texture sequence,
+# 3 frames, QPs 22/37, all four modes, 16x16 CBs, the default search
+# range; out_dir is the relative "out", so report.json's echo is fixed too
+RUN_DIGESTS = {
+    "qpmaps/anchor-uniform_qp22/qpmap_0000.csv":
+        "e38971821bc0a2973dcfe44c5d1878ced514798826afe1dbb7de17df54f8a83b",
+    "qpmaps/anchor-uniform_qp22/qpmap_0001.csv":
+        "b12ed6fadba7ff8c51926a69f238d26cea5e48e3e512ac18cb8d2994d291e53e",
+    "qpmaps/anchor-uniform_qp22/qpmap_0002.csv":
+        "e11262f5d48a6bb488dcaafefe3f87bf05115f56e0c24617cbc676c4be016741",
+    "qpmaps/anchor-uniform_qp37/qpmap_0000.csv":
+        "e8816ac2264343fa923367aad3a3570e6cf78ef9335bda4c1ac9f5f4c0062070",
+    "qpmaps/anchor-uniform_qp37/qpmap_0001.csv":
+        "a792bd67f1c625ac2f28017ca8eec4d4e24d5ce9057fb33bbfe359085ee8e53d",
+    "qpmaps/anchor-uniform_qp37/qpmap_0002.csv":
+        "fef3f4131a581295320e36b39fa7069190603eea6244bbee7efe1b5c2f9ff75f",
+    "qpmaps/spaq_qp22/qpmap_0000.csv":
+        "86d536957d002398a9558d233d54a019e52b3df1692a8a7f9285b2a0a103d1ad",
+    "qpmaps/spaq_qp22/qpmap_0001.csv":
+        "1e8603539a7340f65c9f00f416de0fd2157d85a1604287f176041c149df2a64d",
+    "qpmaps/spaq_qp22/qpmap_0002.csv":
+        "d61f9c047d07a2b18b9580a098e038e046d37aeb52de38e7b446a1da3fc7b5a7",
+    "qpmaps/spaq_qp37/qpmap_0000.csv":
+        "476b8c3b40d7a2e70db1cddd5188720f4ffb365f9051441bd737acf4fb4728b2",
+    "qpmaps/spaq_qp37/qpmap_0001.csv":
+        "e931b8c81991182b3a94fac023a18877c89507013231234515df8a9dc7ae1899",
+    "qpmaps/spaq_qp37/qpmap_0002.csv":
+        "e6c6677fd290c58242e0023f1386f673b0c0936497647ba18980cd80eb5fcfbe",
+    "qpmaps/spatial-only_qp22/qpmap_0000.csv":
+        "86d536957d002398a9558d233d54a019e52b3df1692a8a7f9285b2a0a103d1ad",
+    "qpmaps/spatial-only_qp22/qpmap_0001.csv":
+        "6625a8e563d4894fa08fd1ebaacdb63ce2a8d9aad6c5b28e18fcde8f319fb55b",
+    "qpmaps/spatial-only_qp22/qpmap_0002.csv":
+        "eb4c26849f514a7c81fc8a967ca2484fc51b06eef28bda194896ca764b90d800",
+    "qpmaps/spatial-only_qp37/qpmap_0000.csv":
+        "476b8c3b40d7a2e70db1cddd5188720f4ffb365f9051441bd737acf4fb4728b2",
+    "qpmaps/spatial-only_qp37/qpmap_0001.csv":
+        "dc5a929948c22685defa44ea9fb18db24db3a9dba4fd9d818bb4bd5fab89b2f3",
+    "qpmaps/spatial-only_qp37/qpmap_0002.csv":
+        "d52282b817a9bf2101d4371a250445498ba7fc1579da861ca98f4375ecf80f0e",
+    "qpmaps/temporal-only_qp22/qpmap_0000.csv":
+        "f21b596cc63c5fc64b36fb140f03cb1b13ef078ca8000db6cb74440038f94c58",
+    "qpmaps/temporal-only_qp22/qpmap_0001.csv":
+        "924b529be721a75ee25b13aea4708ba1747071ee3123ac4faffcf2e90c6eed84",
+    "qpmaps/temporal-only_qp22/qpmap_0002.csv":
+        "7d85033edf74a8b9a80bb10d6ea8c1f2fafe2dcc778897f0d1d44d97d359615e",
+    "qpmaps/temporal-only_qp37/qpmap_0000.csv":
+        "d53c1bfb2a431953fc7d25c9dbc6a57ef07e95cbc2c6be208b03682b9279059f",
+    "qpmaps/temporal-only_qp37/qpmap_0001.csv":
+        "35f490dd4505ebffbf7a3acf569138969a0954061264afd6bc68ba57bd7e39c0",
+    "qpmaps/temporal-only_qp37/qpmap_0002.csv":
+        "bd39c31432f13ada365faf1939992346869ed86af6f0eaacecec1771b8b70bac",
+    "rate_points.csv":
+        "4ab7d18c1c7c0099009fb9a70a97ffaa303e6870bb47971dad5c949b79ac28cb",
+    "report.csv":
+        "9214cfc75b9d19355f56472c220de962fe8cfaa9efb30344ff0f5b6168c5e129",
+    "report.json":
+        "61cb15427839834457ef7480bbe2e9e8b3dd8b9a40a556301ebb8c9fda6762f6",
+}
+
+
+def test_small_run_pinned_byte_for_byte(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run(ExperimentConfig(synthetic="moving-texture", width=64, height=64,
+                         frames=3, qps=(22, 37), modes=experiment.MODES,
+                         cb_depth=2, seed=0, out_dir="out"))
+    out = tmp_path / "out"
+    assert {p.relative_to(out).as_posix():
+            hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.rglob("*") if p.is_file()} == RUN_DIGESTS
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         gen_synthetic("plasma", 64, 64, 2)
@@ -333,6 +405,32 @@ def test_cli_bad_input_file(tmp_path):
         "--frames", "2", "--qp", "22", "--out", str(tmp_path / "o"),
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (["--input", "empty.rgb"], 1, "file size 0 is not a positive multiple"),
+    (["--synthetic", "noise", "--width", "4"], 2, "at least 8x8"),
+    (["--synthetic", "noise", "--shift", "1,x"], 2,
+     "--shift expects 'dx,dy', got '1,x'"),
+    (["--synthetic", "noise", "--search-range", "-1"], 2,
+     "search_range must be >= 0"),
+])
+def test_cli_failure_modes_exit_with_one_line(tmp_path, monkeypatch, capsys,
+                                              args, code, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.rgb").write_bytes(b"")
+    try:
+        got = main(args + ["--frames", "2", "--qp", "22", "--out", "o"])
+    except SystemExit as exc:  # usage errors exit through argparse
+        got = exc.code
+    assert got == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    *usage, last = err.splitlines()
+    assert last.startswith("spaqlab: error:") and message in last
+    # exit 2 prefixes argparse's usage block; a run error prints nothing else
+    assert all(line.startswith(("usage:", " ")) for line in usage)
+    assert bool(usage) == (code == 2)
 
 
 def test_cli_negative_seed_rejected_before_work(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spaqlab import motion_model
 from spaqlab.motion_model import block_match, estimate_motion_field, motion_field
 from spaqlab.partitioner import BlockRef, build_grid, pad_plane
 from spaqlab.qp_model import temporal_offset_br, temporal_offset_g
@@ -234,6 +236,122 @@ def test_field_matches_exhaustive_oracle_property(planes, search_range):
         assert field.vectors.tolist() == [
             list(brute_force_match(cur, ref, pu, r)) for pu in grid.blocks
         ]
+
+
+def candidates(cur, ref, pu, search_range):
+    """{(dy, dx): (quadrant bound, SAD)} of every in-plane candidate, in
+    raster order, each from np.sum over slices of the two planes."""
+    h, w = ref.shape
+    n, half = pu.size, pu.size // 2
+    blk = cur[pu.y: pu.y + n, pu.x: pu.x + n].astype(np.int64)
+    corners = [(y0, x0) for y0 in (0, n - half) for x0 in (0, n - half)]
+    out = {}
+    for dy in range(-search_range, search_range + 1):
+        for dx in range(-search_range, search_range + 1):
+            ry, rx = pu.y + dy, pu.x + dx
+            if ry < 0 or rx < 0 or ry + n > h or rx + n > w:
+                continue
+            cand = ref[ry: ry + n, rx: rx + n].astype(np.int64)
+            bound = sum(
+                abs(int(np.sum(blk[y0: y0 + half, x0: x0 + half]))
+                    - int(np.sum(cand[y0: y0 + half, x0: x0 + half])))
+                for y0, x0 in corners)
+            out[dy, dx] = bound, int(np.abs(cand - blk).sum())
+    return out
+
+
+@st.composite
+def random_pu(draw, h, w):
+    """A PU of a power-of-two size inside an h x w plane, edges likely."""
+    n = draw(st.sampled_from([s for s in (2, 4, 8, 16) if s <= min(h, w)]))
+    x, y = (draw(st.one_of(st.just(0), st.just(hi), st.integers(0, hi)))
+            for hi in (w - n, h - n))
+    return BlockRef(x, y, n, 2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data(), st.sampled_from((8, 10, 12)), st.integers(0, 6))
+def test_quadrant_bound_never_exceeds_sad_property(data, depth, search_range):
+    h, w = data.draw(st.integers(2, 24)), data.draw(st.integers(2, 24))
+    cur, ref = (data.draw(arrays(np.int32, (h, w),
+                                 elements=st.integers(0, (1 << depth) - 1)))
+                for _ in range(2))
+    pu = data.draw(random_pu(h, w))
+    n = pu.size
+    block = cur[pu.y: pu.y + n, pu.x: pu.x + n]
+    for r in {0, search_range}:
+        cands = candidates(cur, ref, pu, r)
+        assert all(bound <= sad for bound, sad in cands.values())
+        # the search region's bounds, laid out by displacement
+        (dy_lo, dx_lo), (dy_hi, dx_hi) = min(cands), max(cands)
+        region = ref[pu.y + dy_lo: pu.y + dy_hi + n,
+                     pu.x + dx_lo: pu.x + dx_hi + n]
+        bounds = [[cands[dy, dx][0] for dx in range(dx_lo, dx_hi + 1)]
+                  for dy in range(dy_lo, dy_hi + 1)]
+        assert motion_model._quadrant_bounds(region, block).tolist() == bounds
+
+
+@st.composite
+def ramp_patch_planes(draw):
+    """(cur, ref, grid), edge-padded to the grid: a ramp with a brightness
+    offset per plane, a textured patch that moves between ref and cur, and
+    small noise, so the quadrant bound rules out most candidates."""
+    depth = draw(st.sampled_from((1, 2)))
+    w, h = (draw(st.integers((64 >> depth) + 1, 64)) for _ in range(2))
+    grid = build_grid(w, h, depth)
+    unit = 1 << (draw(st.sampled_from((8, 10, 12))) - 8)
+    peak = 256 * unit - 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    yy, xx = np.mgrid[:h, :w]
+    ramp = unit * (draw(st.integers(0, 4)) * yy + draw(st.integers(0, 4)) * xx)
+    size = draw(st.integers(4, 16))
+    texture = rng.integers(0, 128 * unit, (size, size))
+    planes = []
+    for _ in range(2):
+        y, x = draw(st.integers(0, h - size)), draw(st.integers(0, w - size))
+        plane = ramp + draw(st.integers(0, 8)) * unit
+        plane[y: y + size, x: x + size] += texture
+        noise = draw(st.integers(0, 2)) * unit
+        plane += rng.integers(-noise, noise + 1, (h, w))
+        plane = np.clip(plane, 0, peak).astype(np.int32)
+        planes.append(pad_plane(plane, grid))
+    return planes[0], planes[1], grid
+
+
+@settings(deadline=None, max_examples=100)
+@given(ramp_patch_planes(), st.integers(0, 16))
+def test_field_matches_exhaustive_oracle_on_prunable_content(planes,
+                                                             search_range):
+    cur, ref, grid = planes
+    field = estimate_motion_field(cur, ref, grid, search_range)
+    assert field.vectors.tolist() == [
+        list(brute_force_match(cur, ref, pu, search_range))
+        for pu in grid.blocks
+    ]
+
+
+@settings(deadline=None, max_examples=50)
+@given(ramp_patch_planes(), st.integers(0, 8))
+def test_full_sads_only_for_candidates_within_the_upper_bound(planes,
+                                                              search_range):
+    cur, ref, grid = planes
+    evaluated = []
+    real = motion_model._sads
+    with mock.patch.object(motion_model, "_sads", lambda windows, block: (
+            evaluated.append(windows[..., 0, 0].size)
+            or real(windows, block))):
+        estimate_motion_field(cur, ref, grid, search_range)
+    expected = []
+    for pu in grid.blocks:
+        cands = candidates(cur, ref, pu, search_range)
+        lowest = min(cands.values(), key=lambda c: c[0])
+        upper = min(cands[0, 0][1], lowest[1])
+        survivors = sum(bound <= upper for bound, _ in cands.values())
+        # two SADs set the upper bound; if more than half the candidates
+        # survive, all are evaluated at once
+        expected += [2, len(cands) if 2 * survivors > len(cands)
+                     else survivors]
+    assert evaluated == expected
 
 
 vector_lists = st.lists(
