@@ -93,7 +93,7 @@ def main(argv=None) -> int:
         parser.error(str(exc))  # exits 2 before any work
     try:
         report = run(cfg)
-    except (RawFormatError, OSError, ValueError) as exc:
+    except (RawFormatError, OSError, ValueError, MemoryError) as exc:
         print(f"spaqlab: error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(report.cells)} records to {cfg.out_dir}")

@@ -19,7 +19,6 @@ import csv
 import dataclasses
 import json
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,7 +178,7 @@ def gen_synthetic(kind: str, width: int = 128, height: int = 128,
         patches = texture(patch, patch)
         base = _ramps(width, height, low, maxv // 3)
         for n in range(frames):
-            px = min(hw // 4 + n, width - hw + hw // 4 - patch) if hw else 0
+            px = max(0, min(hw // 4 + n, width - hw + hw // 4 - patch))
             py = min(hh + hh // 4 + 2 * n, height - patch)
             planes = base.copy()
             # top-right quadrant: dense texture, refreshed every frame
@@ -207,7 +206,6 @@ class CellResult:
     ssim: float
     frame_bits: list
     qp_maps: list
-    qp_histograms: list
     recons: list
     pct_bits: float | None = None
     pct_psnr_db: tuple = ()
@@ -246,7 +244,7 @@ def run_cell(seq: Sequence, grid, mode: str, base_qp: int,
     frame_bits = []
     sse = np.zeros(3, dtype=np.int64)
     ssim_sum = 0.0
-    qp_maps, histograms, recons = [], [], []
+    qp_maps, recons = [], []
 
     for n, frame in enumerate(seq.frames):
         if recon_prev is None:
@@ -280,12 +278,6 @@ def run_cell(seq: Sequence, grid, mode: str, base_qp: int,
         sse += np.asarray(enc.sse)
         ssim_sum += ssim_global(frame, enc.recon)
         qp_maps.append(qmap)
-        histograms.append({
-            CHANNELS[ch]: dict(sorted(Counter(
-                f"{q:g}" for q in qmap.qp[ch]
-            ).items()))
-            for ch in range(3)
-        })
         recons.append(enc.recon)
         recon_prev = enc.recon
         if fld is not None:
@@ -297,7 +289,7 @@ def run_cell(seq: Sequence, grid, mode: str, base_qp: int,
                       tuple(int(b) for b in channel_bits), mse,
                       tuple(mse_to_psnr(m, seq.bit_depth) for m in mse),
                       ssim_sum / len(seq.frames), frame_bits, qp_maps,
-                      histograms, recons)
+                      recons)
 
 
 @dataclass
@@ -390,6 +382,24 @@ def _row(sequence: str, r: CellResult) -> list:
     ]
 
 
+def _histogram(qps) -> dict:
+    """{QP as %g: number of CBs} over one channel's QPs."""
+    values, counts = np.unique(qps, return_counts=True)
+    return {f"{q:g}": c for q, c in zip(values.tolist(), counts.tolist())}
+
+
+def _qpmap_csv(qmap) -> str:
+    """One QP map as CSV text: a row per (CB, channel), CB-major, CRLF line
+    ends; raw is an int, every other number has 6 decimals."""
+    base = [f"{q:.6f}" for q in qmap.base_qp.tolist()]
+    cols = (a.T.ravel().tolist()
+            for a in (qmap.raw, qmap.t, qmap.delta, qmap.qp, qmap.qstep))
+    rows = (f"{qmap.frame_index},{i // 3},{CHANNELS[i % 3]},{base[i % 3]},"
+            f"{raw},{t:.6f},{delta:.6f},{qp:.6f},{qstep:.6f}"
+            for i, (raw, t, delta, qp, qstep) in enumerate(zip(*cols)))
+    return "\r\n".join([",".join(QPMAP_COLUMNS), *rows, ""])
+
+
 def emit(report: ExperimentReport, out_dir) -> None:
     """Write report.csv, report.json, rate_points.csv and QP map dumps."""
     os.makedirs(out_dir, exist_ok=True)
@@ -405,7 +415,8 @@ def emit(report: ExperimentReport, out_dir) -> None:
         "config": report.config,
         "records": [
             dict(zip(REPORT_COLUMNS, _row(report.sequence, r)))
-            | {"qp_histograms": r.qp_histograms}
+            | {"qp_histograms": [dict(zip(CHANNELS, map(_histogram, m.qp)))
+                                 for m in r.qp_maps]}
             for r in report.cells.values()
         ],
     }
@@ -425,7 +436,4 @@ def emit(report: ExperimentReport, out_dir) -> None:
         for qmap in cell.qp_maps:
             path = os.path.join(sub, f"qpmap_{qmap.frame_index:04d}.csv")
             with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(QPMAP_COLUMNS)
-                for row in qmap.rows():
-                    writer.writerow(_fmt(v) for v in row)
+                fh.write(_qpmap_csv(qmap))

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .video_io import CHANNELS
-
 QP_MIN = 0
 QP_MAX = 51
 MEAN_OFFSET = 6.0   # o: mean CB-level perceptual QP offset
@@ -131,22 +129,6 @@ class QpMap:
     @property
     def n_blocks(self) -> int:
         return self.qp.shape[1]
-
-    def rows(self):
-        """CSV-ready rows: frame, cb_index, channel, q, raw, t, delta, qp, qstep."""
-        for cb in range(self.n_blocks):
-            for ch in range(3):
-                yield (
-                    self.frame_index,
-                    cb,
-                    CHANNELS[ch],
-                    float(self.base_qp[ch]),
-                    int(self.raw[ch, cb]),
-                    float(self.t[ch, cb]),
-                    float(self.delta[ch, cb]),
-                    float(self.qp[ch, cb]),
-                    float(self.qstep[ch, cb]),
-                )
 
 
 def uniform_qp_map(frame_index: int, base_qps, n_blocks: int) -> QpMap:

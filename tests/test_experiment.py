@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -20,6 +21,7 @@ from spaqlab.experiment import (
 )
 from spaqlab.motion_model import estimate_motion_field
 from spaqlab.partitioner import build_grid, pad_plane
+from spaqlab.qp_model import qp_to_qstep
 from spaqlab.spatial_activity import compute_activity_map
 from spaqlab.video_io import G, Sequence, write_raw
 
@@ -151,6 +153,17 @@ def test_small_run_pinned_byte_for_byte(tmp_path, monkeypatch):
     assert {p.relative_to(out).as_posix():
             hashlib.sha256(p.read_bytes()).hexdigest()
             for p in out.rglob("*") if p.is_file()} == RUN_DIGESTS
+
+
+@pytest.mark.parametrize("kind", ["mixed", "noise", "gradient"])
+def test_narrow_frames_generate_and_run(kind):
+    # below width 13, mixed's moving-patch column is clamped at 0
+    for width in range(8, 14):
+        seq = gen_synthetic(kind, width, 9, 3, 8, seed=3)
+        assert [f.planes.shape for f in seq.frames] == [(3, 9, width)] * 3
+        report = run(small_cfg(synthetic=kind, width=width, height=9,
+                               qps=(22,), seed=3))
+        assert len(report.cells) == 2
 
 
 def test_unknown_kind_rejected():
@@ -339,6 +352,54 @@ def test_qpmap_dumps_written(tmp_path):
     assert len(rows) - 1 == 3 * build_grid(64, 64, 2).n_blocks
 
 
+def test_qpmap_and_histogram_format_pinned(tmp_path):
+    # 96x64 at 32x32 CBs: six CBs, so 18 rows per qpmap file; QP 7 gives
+    # the anchor a one-digit histogram key
+    cfg = small_cfg(width=96, height=64, frames=2, qps=(7, 27), cb_depth=1,
+                    out_dir=str(tmp_path))
+    run(cfg)
+    anchor = (tmp_path / "qpmaps" / "anchor-uniform_qp27" /
+              "qpmap_0000.csv").read_bytes()
+    assert anchor.startswith(
+        b"frame,cb_index,channel,q,raw,t,delta,qp,qstep\r\n"
+        b"0,0,G,27.000000,0,0.000000,0.000000,27.000000,14.254379\r\n"
+        b"0,0,B,27.000000,0,0.000000,0.000000,27.000000,14.254379\r\n"
+        b"0,0,R,27.000000,0,0.000000,0.000000,27.000000,14.254379\r\n"
+        b"0,1,G,27.000000,0,0.000000,0.000000,27.000000,14.254379\r\n")
+    assert f"{qp_to_qstep(27):.6f}" == "14.254379"
+    spaq = (tmp_path / "qpmaps" / "spaq_qp7" / "qpmap_0001.csv").read_bytes()
+    assert spaq.startswith(
+        b"frame,cb_index,channel,q,raw,t,delta,qp,qstep\r\n"
+        b"1,0,G,7.000000,-6,0.000000,3.000000,10.000000,2.000000\r\n"
+        b"1,0,B,7.000000,-5,0.000000,6.000000,13.000000,2.828427\r\n"
+        b"1,0,R,7.000000,-6,0.000000,6.000000,13.000000,2.828427\r\n"
+        b"1,1,G,7.000000,-6,0.000000,3.000000,10.000000,2.000000\r\n"
+        b"1,1,B,7.000000,-5,0.000000,6.000000,13.000000,2.828427\r\n"
+        b"1,1,R,7.000000,-6,0.000000,6.000000,13.000000,2.828427\r\n"
+        b"1,2,G,7.000000,4,3.000000,6.000000,13.000000,2.828427\r\n"
+        b"1,2,B,7.000000,4,6.000000,10.000000,17.000000,4.489848\r\n")
+    for body in (anchor, spaq):
+        assert body.endswith(b"\r\n") and b"\r\n\r\n" not in body
+        rows = list(csv.reader(io.StringIO(body.decode(), newline="")))[1:]
+        assert len(rows) == 18
+        # CB-major: the three channels of a CB are adjacent
+        assert [(r[1], r[2]) for r in rows] == [
+            (str(cb), ch) for cb in range(6) for ch in "GBR"]
+        assert any(int(r[4]) < 0 for r in rows) == (body is spaq)
+
+    with open(tmp_path / "report.json") as fh:
+        records = json.load(fh)["records"]
+    hists = {(r["mode"], r["qp"]): r["qp_histograms"] for r in records}
+    assert hists[ANCHOR_MODE, 7] == [{"G": {"7": 6}, "B": {"7": 6},
+                                      "R": {"7": 6}}] * 2
+    for frames in hists.values():
+        assert len(frames) == 2
+        for frame in frames:
+            assert sorted(frame) == ["B", "G", "R"]
+            assert all(sum(h.values()) == 6 for h in frame.values())
+            assert all(k == f"{float(k):g}" for h in frame.values() for k in h)
+
+
 def test_report_determinism_small(tmp_path):
     # literally identical config (including out_dir): run, snapshot, rerun
     d1 = tmp_path / "a"
@@ -431,6 +492,20 @@ def test_cli_failure_modes_exit_with_one_line(tmp_path, monkeypatch, capsys,
     # exit 2 prefixes argparse's usage block; a run error prints nothing else
     assert all(line.startswith(("usage:", " ")) for line in usage)
     assert bool(usage) == (code == 2)
+
+
+def test_cli_out_of_memory_exits_with_one_line(tmp_path, monkeypatch, capsys):
+    def run_out_of_memory(cfg):
+        raise MemoryError("Unable to allocate 10.9 TiB for an array with "
+                          "shape (3, 1000000, 1000000) and data type int32")
+
+    monkeypatch.setattr("spaqlab.cli.run", run_out_of_memory)
+    code = main(["--synthetic", "noise", "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "spaqlab: error: Unable to allocate 10.9 TiB for an array with "
+        "shape (3, 1000000, 1000000) and data type int32"]
 
 
 def test_cli_negative_seed_rejected_before_work(tmp_path, capsys):

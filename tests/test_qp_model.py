@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spaqlab import qp_model
 from spaqlab.qp_model import (
@@ -131,9 +134,7 @@ def test_uniform_map_is_flat():
     assert (qmap.qp == 27).all()
     assert (qmap.delta == 0).all()
     assert (qmap.qstep == qp_to_qstep(27)).all()
-    rows = list(qmap.rows())
-    assert len(rows) == 18
-    assert rows[0] == (0, 0, "G", 27.0, 0, 0.0, 0.0, 27.0, qp_to_qstep(27))
+    assert qmap.qp.shape == (3, 6) and (qmap.raw == 0).all()
     # the array lookup equals qp_to_qstep on every legal QP
     for q in range(52):
         assert (uniform_qp_map(0, (q, q, q), 3).qstep == qp_to_qstep(q)).all()
@@ -142,27 +143,45 @@ def test_uniform_map_is_flat():
             uniform_qp_map(0, bad, 3)
 
 
-def test_build_qp_map_never_decreases_qp():
-    rng = np.random.default_rng(3)
+class _Activity:
+    def __init__(self, a):
+        self.a = a
 
-    class FakeActivity:
-        def __init__(self, a):
-            self.a = a
 
-    n = 12
-    act = FakeActivity(rng.uniform(0.5, 2.0, (3, n)))
-    mags = list(rng.uniform(0.0, 10.0, n))
-    vmean = float(np.mean(mags))
-    qmap = build_qp_map(0, (27, 27, 27), n, activity=act, magnitudes=mags,
-                        mean_magnitude=vmean)
-    assert (qmap.qp >= 27).all()
-    assert (qmap.delta[0] >= 3).all() and (qmap.delta[0] <= 6).all()
-    assert (qmap.delta[1:] >= 6).all() and (qmap.delta[1:] <= 12).all()
+@st.composite
+def qp_map_inputs(draw):
+    """Per-channel base QPs, a clamp scope, activities and magnitudes (each
+    possibly absent) and a mean magnitude that some magnitudes may equal."""
+    n = draw(st.integers(1, 40))
+    base = draw(st.lists(st.integers(0, 51), min_size=3, max_size=3))
+    scope = draw(st.sampled_from(ClampScope))
+    act = draw(st.none() | arrays(np.float64, (3, n),
+                                  elements=st.floats(0.5, 2.0)))
+    mags = draw(st.none() | st.lists(st.floats(0.0, 64.0), min_size=n,
+                                     max_size=n))
+    vmean = 0.0
+    if mags is not None:
+        vmean = draw(st.sampled_from([float(np.mean(mags)), *mags]))
+    return n, base, scope, act, mags, vmean
+
+
+@settings(deadline=None, max_examples=300)
+@given(qp_map_inputs())
+def test_build_qp_map_never_decreases_qp(inputs):
+    n, base, scope, act, mags, vmean = inputs
+    qmap = build_qp_map(0, base, n,
+                        activity=None if act is None else _Activity(act),
+                        magnitudes=mags, mean_magnitude=vmean, scope=scope)
+    base = np.asarray(base, float)[:, None]
+    assert (base <= qmap.qp).all() and (qmap.qp <= 51).all()
     # temporal offsets follow the strict threshold per PU
-    for cb in range(n):
-        expect_t = 3.0 if mags[cb] > vmean else 0.0
-        assert qmap.t[0, cb] == expect_t
-        assert qmap.t[1, cb] == (2 * expect_t)
+    high = np.zeros(n, bool) if mags is None else np.asarray(mags) > vmean
+    offsets = np.array([[3.0], [6.0], [6.0]])
+    assert (qmap.t == np.where(high, offsets, 0.0)).all()
+    lo = np.array([[G_RANGE[0]], [BR_RANGE[0]], [BR_RANGE[0]]])
+    hi = np.array([[G_RANGE[1]], [BR_RANGE[1]], [BR_RANGE[1]]])
+    clamped = qmap.delta if scope is ClampScope.TOTAL else qmap.delta - qmap.t
+    assert (lo <= clamped).all() and (clamped <= hi).all()
 
 
 def test_build_qp_map_ablations():
@@ -185,11 +204,6 @@ def test_final_qp_cap_at_51():
                         magnitudes=[9.0, 1.0], mean_magnitude=5.0)
     assert (qmap.qp <= 51.0).all()
     assert qmap.qp[1, 0] == 51.0  # 47 + 12 caps
-
-
-class _Activity:
-    def __init__(self, a):
-        self.a = a
 
 
 def scalar_qp_map(base_qps, n, activity, magnitudes, vmean, scope):
