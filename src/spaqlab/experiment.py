@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec_sim import INTER_DEADZONE, INTRA_DEADZONE, encode_frame
-from .motion_model import estimate_motion_field
-from .partitioner import build_grid, pad_plane
+from .motion_model import DEFAULT_SEARCH_RANGE, estimate_motion_field
+from .partitioner import CB_SIZE_BY_DEPTH, build_grid, pad_plane
 from .qp_model import ClampScope, build_qp_map, uniform_qp_map
 from .quality_metrics import mse_to_psnr, pct_delta, ssim_global
 from .spatial_activity import DEFAULT_SCALE, compute_activity_map
@@ -36,6 +36,7 @@ MODES = ("anchor-uniform", "spaq", "spatial-only", "temporal-only")
 SYNTHETIC_KINDS = ("noise", "gradient", "moving-texture", "mixed")
 DEFAULT_QPS = (22, 27, 32, 37)
 ANCHOR_MODE = "anchor-uniform"
+V_SOURCES = ("current", "previous")
 
 REPORT_COLUMNS = (
     "sequence", "mode", "qp", "bits", "bits_g", "bits_b", "bits_r",
@@ -59,7 +60,7 @@ class ExperimentConfig:
     qps: tuple = DEFAULT_QPS
     modes: tuple = (ANCHOR_MODE, "spaq")
     cb_depth: int = 1
-    search_range: int = 16
+    search_range: int = DEFAULT_SEARCH_RANGE
     clamp_scope: str = ClampScope.TOTAL.value
     open_loop_me: bool = False
     v_source: str = "current"
@@ -94,12 +95,12 @@ class ExperimentConfig:
         if (len(set(self.qps)) < len(self.qps)
                 or len(set(self.modes)) < len(self.modes)):
             raise ValueError("a QP or mode is listed twice")
-        if self.cb_depth not in (0, 1, 2):
+        if self.cb_depth not in CB_SIZE_BY_DEPTH:
             raise ValueError("cb_depth must be 0, 1 or 2")
         if self.search_range < 0:
             raise ValueError("search_range must be >= 0")
         ClampScope(self.clamp_scope)
-        if self.v_source not in ("current", "previous"):
+        if self.v_source not in V_SOURCES:
             raise ValueError("v_source must be 'current' or 'previous'")
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} is negative; the generator "
@@ -162,7 +163,9 @@ def gen_synthetic(kind: str, width: int = 128, height: int = 128,
     elif kind == "gradient":
         bases = _ramps(width, height, low, max(1, maxv - 2 * low - frames))
         for n in range(frames):
-            out.append(Frame(width, height, bit_depth, bases + n))
+            # the brightening saturates once a long run reaches maxv
+            out.append(Frame(width, height, bit_depth,
+                             np.minimum(bases + n, maxv)))
     elif kind == "moving-texture":
         bgs = _ramps(width, height, low, maxv // 4)
         patch = moving_patch_rect(width, height, frames, shift, 0)[2]
@@ -206,7 +209,6 @@ class CellResult:
     ssim: float
     frame_bits: list
     qp_maps: list
-    recons: list
     pct_bits: float | None = None
     pct_psnr_db: tuple = ()
     pct_psnr_mse: tuple = ()
@@ -244,7 +246,7 @@ def run_cell(seq: Sequence, grid, mode: str, base_qp: int,
     frame_bits = []
     sse = np.zeros(3, dtype=np.int64)
     ssim_sum = 0.0
-    qp_maps, recons = [], []
+    qp_maps = []
 
     for n, frame in enumerate(seq.frames):
         if recon_prev is None:
@@ -278,7 +280,6 @@ def run_cell(seq: Sequence, grid, mode: str, base_qp: int,
         sse += np.asarray(enc.sse)
         ssim_sum += ssim_global(frame, enc.recon)
         qp_maps.append(qmap)
-        recons.append(enc.recon)
         recon_prev = enc.recon
         if fld is not None:
             prev_mean_mag = fld.mean_magnitude
@@ -288,8 +289,7 @@ def run_cell(seq: Sequence, grid, mode: str, base_qp: int,
     return CellResult(mode, base_qp, int(total_bits),
                       tuple(int(b) for b in channel_bits), mse,
                       tuple(mse_to_psnr(m, seq.bit_depth) for m in mse),
-                      ssim_sum / len(seq.frames), frame_bits, qp_maps,
-                      recons)
+                      ssim_sum / len(seq.frames), frame_bits, qp_maps)
 
 
 @dataclass
@@ -312,14 +312,14 @@ def load_sequence(cfg: ExperimentConfig) -> Sequence:
     return seq
 
 
-def run(cfg: ExperimentConfig, keep_recons: bool = False) -> ExperimentReport:
+def run(cfg: ExperimentConfig) -> ExperimentReport:
     """Run every (mode, QP) cell of the config and assemble the report.
 
     The uniform anchor always runs (it is the reference every percentage
     column is computed against) even when absent from cfg.modes. Writes
     report files to cfg.out_dir, if set, which is created before any
-    input is read. Reconstructed frames are dropped from the returned
-    cells unless keep_recons is set. All cells share one store of motion
+    input is read. A cell holds one reconstruction at a time, the
+    reference of its next frame. All cells share one store of motion
     fields, so a search repeated across cells (every open-loop search, and
     closed-loop ones whose reconstructions agree) runs once.
     """
@@ -349,8 +349,6 @@ def run(cfg: ExperimentConfig, keep_recons: bool = False) -> ExperimentReport:
                 seq, grid, mode, qp, cfg, fields)
             cell.set_deltas(anchor)
             report.cells[(mode, qp)] = cell
-            if not keep_recons:
-                cell.recons = []
     if cfg.out_dir is not None:
         emit(report, cfg.out_dir)
     return report

@@ -86,15 +86,15 @@ def cb_qp(q_base: float, delta: float) -> float:
     return min(max(q_base + delta, QP_MIN), QP_MAX)
 
 
-def qp_to_qstep(qp: float) -> float:
-    """Quantization step size for a QP: 1.0 at QP 4, doubling every 6 QP."""
-    if not QP_MIN <= qp <= QP_MAX:
-        raise ValueError(f"QP must lie in [{QP_MIN}, {QP_MAX}], got {qp}")
-    e = qp - 4
-    if e == int(e):
-        e = int(e)
-        return (2.0 ** (e // 6)) * _OCTAVE_FRACTIONS[e % 6]
-    return 2.0 ** (e / 6.0)
+_QP_ERROR = f"QPs must be integers in [{QP_MIN}, {QP_MAX}]"
+
+
+def qp_to_qstep(qp: int) -> float:
+    """Quantization step size for an integer QP: 1.0 at QP 4, x2 every 6."""
+    if not QP_MIN <= qp <= QP_MAX or qp != int(qp):
+        raise ValueError(_QP_ERROR)
+    e = int(qp) - 4
+    return (2.0 ** (e // 6)) * _OCTAVE_FRACTIONS[e % 6]
 
 
 _QSTEPS = np.array([qp_to_qstep(q) for q in range(QP_MIN, QP_MAX + 1)])
@@ -104,7 +104,7 @@ def _qsteps(qp: np.ndarray) -> np.ndarray:
     """qp_to_qstep of every entry of an array of integer-valued QPs."""
     idx = qp.astype(np.int64)
     if not ((idx == qp) & (idx >= QP_MIN) & (idx <= QP_MAX)).all():
-        raise ValueError(f"QPs must be integers in [{QP_MIN}, {QP_MAX}]")
+        raise ValueError(_QP_ERROR)
     return _QSTEPS[idx]
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spaqlab.codec_sim import dct2, idct2
+from spaqlab.codec_sim import dct2, encode_frame, idct2
 from spaqlab.experiment import (
     ANCHOR_MODE,
     ExperimentConfig,
@@ -68,7 +68,7 @@ def sweep():
     t0 = time.perf_counter()
     reports = {}
     for kind in SWEEP_KINDS:
-        reports[kind] = run(sweep_config(kind), keep_recons=(kind == "mixed"))
+        reports[kind] = run(sweep_config(kind))
     elapsed = time.perf_counter() - t0
     return reports, elapsed
 
@@ -236,28 +236,44 @@ def test_spaq_dominance(sweep):
           f"(expected <= -10%)")
 
 
+def replay(seq, grid, cell, search_range):
+    """A closed-loop cell's reconstructions, recoded from its QP maps.
+
+    run() keeps no reconstructions, so a test that needs them codes the
+    cell again; the recoded bits must equal the cell's, frame by frame.
+    """
+    recons, ref = [], None
+    for frame, qmap, bits in zip(seq.frames, cell.qp_maps, cell.frame_bits,
+                                 strict=True):
+        fld = None if ref is None else estimate_motion_field(
+            pad_plane(frame.planes[G], grid), pad_plane(ref.planes[G], grid),
+            grid, search_range)
+        enc = encode_frame(frame, ref, qmap, grid, fld)
+        assert enc.bits == bits
+        ref = enc.recon
+        recons.append(ref)
+    return recons
+
+
 def test_perceptual_floor(sweep):
     """Mixed@QP22: SSIM between the SPAQ and anchor reconstructions."""
     reports, _ = sweep
     cells = reports["mixed"].cells
-    anchor, spaq = cells[(ANCHOR_MODE, 22)], cells[("spaq", 22)]
-    scores = [
-        ssim_global(a, s) for a, s in zip(anchor.recons, spaq.recons)
-    ]
-    floor = sum(scores) / len(scores)
+    cfg = sweep_config("mixed")
+    seq = gen_synthetic("mixed", *SWEEP_DIMS, SWEEP_FRAMES, 8, seed=0)
+    grid = build_grid(*SWEEP_DIMS, cfg.cb_depth)
+    anchor, spaq = (replay(seq, grid, cells[mode, 22], cfg.search_range)
+                    for mode in (ANCHOR_MODE, "spaq"))
+    floor = sum(map(ssim_global, anchor, spaq)) / len(anchor)
     if floor >= 0.95:
         print(f"[perceptual-floor] PASS: SSIM(spaq, anchor) = {floor:.4f} "
               f">= 0.95 (default clamp scope)")
         return
     # repeat under the alternate clamp scope and report the discrepancy
-    cfg = sweep_config("mixed", clamp_scope="term", qps=(22,),
-                       modes=(ANCHOR_MODE, "spaq"))
-    seq = gen_synthetic("mixed", *SWEEP_DIMS, SWEEP_FRAMES, 8, seed=0)
-    grid = build_grid(*SWEEP_DIMS, 1)
-    spaq_term = run_cell(seq, grid, "spaq", 22, cfg)
-    floor_term = sum(
-        ssim_global(a, s) for a, s in zip(anchor.recons, spaq_term.recons)
-    ) / len(anchor.recons)
+    term = sweep_config("mixed", clamp_scope="term")
+    spaq_term = replay(seq, grid, run_cell(seq, grid, "spaq", 22, term),
+                       cfg.search_range)
+    floor_term = sum(map(ssim_global, anchor, spaq_term)) / len(anchor)
     pytest.fail(
         f"default clamp scope floor {floor:.4f} < 0.95; "
         f"alternate 'term' scope gives {floor_term:.4f}"

@@ -2,12 +2,13 @@ import csv
 import hashlib
 import io
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from spaqlab import experiment
-from spaqlab.cli import main
+from spaqlab.cli import build_parser, config_from_args, main
 from spaqlab.experiment import (
     ANCHOR_MODE,
     RATE_POINT_COLUMNS,
@@ -155,6 +156,16 @@ def test_small_run_pinned_byte_for_byte(tmp_path, monkeypatch):
             for p in out.rglob("*") if p.is_file()} == RUN_DIGESTS
 
 
+@pytest.mark.parametrize("bit_depth, frames", [(8, 241), (10, 961)])
+def test_long_gradient_saturates(bit_depth, frames):
+    # past maxv - maxv // 16 frames the brightening reaches maxv and stays
+    seq = gen_synthetic("gradient", 16, 16, frames, bit_depth)
+    maxv = (1 << bit_depth) - 1
+    tops = [int(f.planes.max()) for f in seq.frames]
+    assert tops[-2:] == [maxv, maxv]
+    assert all(a <= b for a, b in zip(tops, tops[1:]))
+
+
 @pytest.mark.parametrize("kind", ["mixed", "noise", "gradient"])
 def test_narrow_frames_generate_and_run(kind):
     # below width 13, mixed's moving-patch column is clamped at 0
@@ -269,11 +280,21 @@ def test_row_order_follows_modes(tmp_path):
     assert [(r["mode"], r["qp"]) for r in records] == expected
 
 
-def test_recons_kept_only_on_request():
-    cfg = small_cfg(qps=(22,))
-    assert all(c.recons == [] for c in run(cfg).cells.values())
-    kept = run(cfg, keep_recons=True).cells
-    assert all(len(c.recons) == cfg.frames for c in kept.values())
+def test_run_holds_one_reconstruction_per_cell(monkeypatch):
+    # at each encode_frame call, count the earlier reconstructions still
+    # alive: a closed-loop cell needs only its reference, none are kept
+    refs, alive = [], []
+    real_encode_frame = experiment.encode_frame
+
+    def encode_frame(*args):
+        alive.append(sum(r() is not None for r in refs))
+        enc = real_encode_frame(*args)
+        refs.append(weakref.ref(enc.recon))
+        return enc
+
+    monkeypatch.setattr(experiment, "encode_frame", encode_frame)
+    run(small_cfg(frames=6, qps=(22,)))
+    assert alive == [0, 1, 1, 1, 1, 1] * 2
 
 
 def test_config_validation():
@@ -431,6 +452,12 @@ def test_report_determinism_small(tmp_path):
         "channel_qp_offsets")} == {
         "activity_scale": 2.0, "intra_deadzone": 1 / 3,
         "inter_deadzone": 1 / 6, "channel_qp_offsets": [0, 0, 0]}
+
+
+def test_cli_defaults_come_from_the_config():
+    args = build_parser().parse_args(["--synthetic", "noise", "--out", "o"])
+    assert config_from_args(args) == ExperimentConfig(synthetic="noise",
+                                                      out_dir="o")
 
 
 def test_cli_end_to_end(tmp_path):

@@ -104,6 +104,8 @@ def test_qstep_values():
         qp_to_qstep(-1)
     with pytest.raises(ValueError):
         qp_to_qstep(52)
+    with pytest.raises(ValueError, match="integers"):
+        qp_to_qstep(27.5)
 
 
 def test_qstep_doubles_every_six_qp_exactly():
