@@ -13,7 +13,7 @@ from .experiment import (
     run,
 )
 from .partitioner import CB_SIZE_BY_DEPTH
-from .qp_model import ClampScope
+from .qp_model import CLAMP_SCOPES
 from .video_io import SUPPORTED_BIT_DEPTHS, RawFormatError
 
 
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
                        f"{d}={s}x{s}" for d, s in CB_SIZE_BY_DEPTH.items())
                    + " CBs")
     p.add_argument("--search-range", type=int)
-    p.add_argument("--clamp-scope", choices=[s.value for s in ClampScope],
+    p.add_argument("--clamp-scope", choices=CLAMP_SCOPES,
                    help="apply the offset window to the total adjustment or "
                         "to the spatial term only")
     p.add_argument("--open-loop-me", action="store_true",
@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="frame whose mean magnitude thresholds the offsets")
     p.add_argument("--seed", type=int)
     p.add_argument("--shift",
-                   help="per-frame dx,dy of the moving-texture patch")
+                   help="per-frame dx,dy of the moving-texture patch; "
+                        "write a negative dx as --shift=-2,5")
     p.add_argument("--out", dest="out_dir", metavar="OUT", required=True,
                    help="report output directory")
     return p

@@ -26,8 +26,8 @@ import numpy as np
 from .codec_sim import INTER_DEADZONE, INTRA_DEADZONE, encode_frame
 from .motion_model import DEFAULT_SEARCH_RANGE, estimate_motion_field
 from .partitioner import CB_SIZE_BY_DEPTH, build_grid, pad_plane
-from .qp_model import ClampScope, build_qp_map, uniform_qp_map
-from .quality_metrics import mse_to_psnr, pct_delta, ssim_global
+from .qp_model import CLAMP_SCOPES, QP_MAX, QP_MIN, build_qp_map, uniform_qp_map
+from .quality_metrics import SSIM_WINDOW, mse_to_psnr, pct_delta, ssim_global
 from .spatial_activity import DEFAULT_SCALE, compute_activity_map
 from .video_io import (CHANNELS, G, SUPPORTED_BIT_DEPTHS, Frame, RawFormatError,
                        Sequence, load_raw)
@@ -61,7 +61,7 @@ class ExperimentConfig:
     modes: tuple = (ANCHOR_MODE, "spaq")
     cb_depth: int = 1
     search_range: int = DEFAULT_SEARCH_RANGE
-    clamp_scope: str = ClampScope.TOTAL.value
+    clamp_scope: str = CLAMP_SCOPES[0]
     open_loop_me: bool = False
     v_source: str = "current"
     seed: int = 0
@@ -76,8 +76,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown synthetic kind {self.synthetic!r}")
         if self.bit_depth not in SUPPORTED_BIT_DEPTHS:
             raise ValueError(f"unsupported bit depth {self.bit_depth}")
-        if self.width < 8 or self.height < 8:
-            raise ValueError("frames must be at least 8x8 for the SSIM window")
+        if self.width < SSIM_WINDOW or self.height < SSIM_WINDOW:
+            raise ValueError(f"frames must be at least {SSIM_WINDOW}x"
+                             f"{SSIM_WINDOW} for the SSIM window")
         if self.synthetic == "moving-texture" and (self.width < 64 or self.height < 64):
             raise ValueError("moving-texture needs at least 64x64 frames")
         if self.frames < 1:
@@ -85,8 +86,8 @@ class ExperimentConfig:
         if not self.qps:
             raise ValueError("at least one QP is required")
         for qp in self.qps:
-            if qp != int(qp) or not 0 <= qp <= 51:
-                raise ValueError(f"QP {qp} is not an integer in [0, 51]")
+            if qp != int(qp) or not QP_MIN <= qp <= QP_MAX:
+                raise ValueError(f"QP {qp} is not an integer in [{QP_MIN}, {QP_MAX}]")
         if not self.modes:
             raise ValueError("at least one mode is required")
         for mode in self.modes:
@@ -96,15 +97,22 @@ class ExperimentConfig:
                 or len(set(self.modes)) < len(self.modes)):
             raise ValueError("a QP or mode is listed twice")
         if self.cb_depth not in CB_SIZE_BY_DEPTH:
-            raise ValueError("cb_depth must be 0, 1 or 2")
+            raise ValueError(f"cb_depth must be {_either(map(str, CB_SIZE_BY_DEPTH))}")
         if self.search_range < 0:
             raise ValueError("search_range must be >= 0")
-        ClampScope(self.clamp_scope)
+        if self.clamp_scope not in CLAMP_SCOPES:
+            raise ValueError(f"clamp_scope must be {_either(map(repr, CLAMP_SCOPES))}")
         if self.v_source not in V_SOURCES:
-            raise ValueError("v_source must be 'current' or 'previous'")
+            raise ValueError(f"v_source must be {_either(map(repr, V_SOURCES))}")
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} is negative; the generator "
                              "takes seeds >= 0")
+
+
+def _either(names) -> str:
+    """'a, b or c' for the names a, b, c."""
+    *head, last = names
+    return f"{', '.join(head)} or {last}"
 
 
 def _ramps(width, height, low, span):
@@ -234,8 +242,6 @@ def run_cell(seq: Sequence, grid, mode: str, base_qp: int,
     handed to estimate_motion_field, so cells that share it search each
     distinct (current, reference) plane pair once.
     """
-    scope = ClampScope(cfg.clamp_scope)
-    base_qps = (base_qp,) * 3
     use_spatial = mode in ("spaq", "spatial-only")
     use_temporal = mode in ("spaq", "temporal-only")
 
@@ -259,9 +265,9 @@ def run_cell(seq: Sequence, grid, mode: str, base_qp: int,
                 grid, cfg.search_range, fields,
             )
         if mode == ANCHOR_MODE:
-            qmap = uniform_qp_map(n, base_qps, grid.n_blocks)
+            qmap = uniform_qp_map(base_qp, grid.n_blocks)
         else:
-            act = compute_activity_map(frame, grid) if use_spatial else None
+            act = compute_activity_map(frame, grid).a if use_spatial else None
             if use_temporal and fld is not None:
                 mags = fld.magnitudes
                 if cfg.v_source == "previous" and prev_mean_mag is not None:
@@ -270,9 +276,9 @@ def run_cell(seq: Sequence, grid, mode: str, base_qp: int,
                     vmean = fld.mean_magnitude
             else:
                 mags, vmean = None, 0.0
-            qmap = build_qp_map(n, base_qps, grid.n_blocks, activity=act,
+            qmap = build_qp_map(base_qp, grid.n_blocks, activity=act,
                                 magnitudes=mags, mean_magnitude=vmean,
-                                scope=scope)
+                                scope=cfg.clamp_scope)
         enc = encode_frame(frame, recon_prev, qmap, grid, fld)
         total_bits += enc.bits
         channel_bits += np.asarray(enc.channel_bits)
@@ -386,13 +392,13 @@ def _histogram(qps) -> dict:
     return {f"{q:g}": c for q, c in zip(values.tolist(), counts.tolist())}
 
 
-def _qpmap_csv(qmap) -> str:
-    """One QP map as CSV text: a row per (CB, channel), CB-major, CRLF line
-    ends; raw is an int, every other number has 6 decimals."""
-    base = [f"{q:.6f}" for q in qmap.base_qp.tolist()]
+def _qpmap_csv(frame: int, qmap) -> str:
+    """Frame frame's QP map as CSV text: a row per (CB, channel), CB-major,
+    CRLF line ends; raw is an int, every other number has 6 decimals."""
+    base = f"{qmap.base_qp:.6f}"
     cols = (a.T.ravel().tolist()
             for a in (qmap.raw, qmap.t, qmap.delta, qmap.qp, qmap.qstep))
-    rows = (f"{qmap.frame_index},{i // 3},{CHANNELS[i % 3]},{base[i % 3]},"
+    rows = (f"{frame},{i // 3},{CHANNELS[i % 3]},{base},"
             f"{raw},{t:.6f},{delta:.6f},{qp:.6f},{qstep:.6f}"
             for i, (raw, t, delta, qp, qstep) in enumerate(zip(*cols)))
     return "\r\n".join([",".join(QPMAP_COLUMNS), *rows, ""])
@@ -431,7 +437,7 @@ def emit(report: ExperimentReport, out_dir) -> None:
     for (mode, qp), cell in report.cells.items():
         sub = os.path.join(out_dir, "qpmaps", f"{mode}_qp{qp}")
         os.makedirs(sub, exist_ok=True)
-        for qmap in cell.qp_maps:
-            path = os.path.join(sub, f"qpmap_{qmap.frame_index:04d}.csv")
+        for n, qmap in enumerate(cell.qp_maps):
+            path = os.path.join(sub, f"qpmap_{n:04d}.csv")
             with open(path, "w", newline="") as fh:
-                fh.write(_qpmap_csv(qmap))
+                fh.write(_qpmap_csv(n, qmap))

@@ -20,12 +20,11 @@ CB_SIZE_BY_DEPTH = {0: 64, 1: 32, 2: 16}
 
 @dataclass(frozen=True)
 class BlockRef:
-    """Square block: top-left corner, side length, quadtree level."""
+    """Square block: top-left corner and side length."""
 
     x: int
     y: int
     size: int
-    depth: int
 
     def __post_init__(self):
         if self.size < 2 or self.size % 2 != 0:
@@ -69,21 +68,8 @@ def build_grid(width: int, height: int, depth: int) -> BlockGrid:
     blocks = []
     for row in range(rows):
         for col in range(cols):
-            blocks.append(BlockRef(col * size, row * size, size, depth))
+            blocks.append(BlockRef(col * size, row * size, size))
     return BlockGrid(width, height, depth, size, cols, rows, tuple(blocks))
-
-
-def sub_blocks(b: BlockRef):
-    """Four quadrants of a CB in the order top-left, top-right,
-    bottom-left, bottom-right."""
-    n = b.size // 2
-    d = b.depth + 1
-    return (
-        BlockRef(b.x, b.y, n, d),
-        BlockRef(b.x + n, b.y, n, d),
-        BlockRef(b.x, b.y + n, n, d),
-        BlockRef(b.x + n, b.y + n, n, d),
-    )
 
 
 def pad_plane(plane: np.ndarray, grid: BlockGrid) -> np.ndarray:

