@@ -3,7 +3,9 @@
 Per CB, for G, B and R at once: predict (DC from reconstructed neighbors
 on intra frames, motion-compensated copy on inter frames), transform the
 residual with an orthonormal 2-D DCT, quantize with each channel's step
-size and a deadzone, count proxy bits, then reconstruct. Everything that
+size and a deadzone, count proxy bits, then reconstruct. The CBs of one
+anti-diagonal of the grid go through these steps as one stack, with the
+same bits as raster order. Everything that
 would be symmetric between two QP allocations (entropy coder, loop
 filters, rich prediction) is deliberately left out; the proxy bit cost is
 deterministic and monotone in level magnitude but not comparable to a
@@ -68,13 +70,11 @@ def dequantize(levels: np.ndarray, qstep) -> np.ndarray:
     return np.asarray(levels, dtype=np.float64) * qstep
 
 
-def bit_cost(levels: np.ndarray):
-    """Proxy bit count of a quantized block, summed over its last two axes.
+def bit_cost(levels: np.ndarray) -> np.ndarray:
+    """Proxy bit count of quantized blocks, one per leading index.
 
-    One significance bit per coefficient plus the signed order-0
-    exp-Golomb code length of every nonzero level. A block (or a 1-D
-    array) gives an int; a stack of blocks gives one count per leading
-    index.
+    Over the last two axes: one significance bit per coefficient plus the
+    signed order-0 exp-Golomb code length of every nonzero level.
     """
     lv = np.asarray(levels, dtype=np.int64)
     # signed mapping: k>0 -> 2k-1, k<0 -> 2|k|; ue(n) takes
@@ -82,8 +82,7 @@ def bit_cost(levels: np.ndarray):
     # significance bit of the nonzero levels gives each level's cost.
     n = 2 * np.abs(lv) - (lv > 0)
     bits = 2 * np.floor(np.log2(n + 1.0)).astype(np.int64) + 1 + (lv != 0)
-    summed = bits.sum(axis=tuple(range(max(lv.ndim - 2, 0), lv.ndim)))
-    return int(summed) if lv.ndim <= 2 else summed
+    return bits.sum(axis=(-2, -1))
 
 
 @dataclass
@@ -94,18 +93,15 @@ class EncodedFrame:
     sse: tuple  # per-channel squared error over the true WxH region
 
 
-def _intra_dc(recon: np.ndarray, x: int, y: int, size: int, mid: int):
-    """DC predictor per leading index from already-reconstructed top/left
-    neighbor samples, shaped to broadcast against a block."""
-    neighbors = []
-    if y > 0:
-        neighbors.append(recon[..., y - 1, x: x + size])
-    if x > 0:
-        neighbors.append(recon[..., y: y + size, x - 1])
-    if not neighbors:
-        return mid
-    samples = np.concatenate(neighbors, axis=-1)
-    return np.rint(samples.mean(axis=-1)).astype(np.int64)[..., None, None]
+def _intra_dc(recon: np.ndarray, rows, cols, mid: int) -> np.ndarray:
+    """(k, 3, 1, 1) DC predictors of CBs (rows, cols) from the reconstructed
+    top/left neighbor samples in recon, a (rows, cols, 3, S, S) CB view."""
+    top, left = np.sign(rows)[:, None], np.sign(cols)[:, None]  # 0 or 1
+    total = (recon[rows - 1, cols, :, -1].sum(-1, dtype=np.int64) * top
+             + recon[rows, cols - 1, :, :, -1].sum(-1, dtype=np.int64) * left)
+    count = recon.shape[-1] * (top + left)
+    dc = np.rint(total / np.maximum(count, 1)).astype(np.int64)
+    return np.where(count > 0, dc, mid)[..., None, None]
 
 
 def encode_frame(frame: Frame, ref: Frame | None, qp_map: QpMap,
@@ -116,7 +112,8 @@ def encode_frame(frame: Frame, ref: Frame | None, qp_map: QpMap,
     ref None selects the intra path (neighbor-DC prediction, intra
     deadzone); otherwise every PU is motion-compensated from ref at its
     vector from `motion`, which an inter frame requires. Each CB is coded
-    as one (3, S, S) block of G, B and R with the channels' own QSteps.
+    as one (3, S, S) block of G, B and R with the channels' own QSteps,
+    one anti-diagonal at a time; a DC predictor reads earlier diagonals only.
     """
     if qp_map.n_blocks != grid.n_blocks:
         raise ValueError(
@@ -125,35 +122,43 @@ def encode_frame(frame: Frame, ref: Frame | None, qp_map: QpMap,
     intra = ref is None
     if not intra and (motion is None or len(motion.vectors) != grid.n_blocks):
         raise ValueError("an inter frame needs a motion field matching the grid")
-    vectors = None if intra else motion.vectors.tolist()
+    size, n_rows, n_cols = grid.cb_size, grid.rows, grid.cols
     deadzone = INTRA_DEADZONE if intra else INTER_DEADZONE
     mid = 1 << (frame.bit_depth - 1)
-    qsteps = qp_map.qstep.T[:, :, None, None]  # (n_blocks, 3, 1, 1)
+    qsteps = qp_map.qstep.T.reshape(n_rows, n_cols, 3, 1, 1)
 
-    src = pad_plane(frame.planes, grid)
-    ref_planes = None if intra else pad_plane(ref.planes, grid)
-    recon = np.empty_like(src)
+    padded = pad_plane(frame.planes, grid)
+    recon_planes = np.empty_like(padded)
+    # (rows, cols, 3, S, S) views of the C-contiguous padded planes
+    src, recon = (p.reshape(3, n_rows, size, n_cols, size)
+                  .transpose(1, 3, 0, 2, 4) for p in (padded, recon_planes))
+    if not intra:
+        # every SxS block of the padded reference, (3, H-S+1, W-S+1, S, S)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            pad_plane(ref.planes, grid), (size, size), axis=(1, 2))
+        # each CB's prediction corner (y, x) in the padded reference
+        ry, rx = (np.indices((n_rows, n_cols)) * size
+                  - motion.vectors.T[::-1].reshape(2, n_rows, n_cols))
+        bad = ((ry < 0) | (ry >= windows.shape[1])
+               | (rx < 0) | (rx >= windows.shape[2]))
+        if bad.any():
+            mvx, mvy = motion.vectors[np.argmax(bad)].tolist()
+            raise ValueError(
+                f"motion vector ({mvx}, {mvy}) leaves the reference")
     channel_bits = np.zeros(3, dtype=np.int64)
-    for idx, blk in enumerate(grid.blocks):
-        x, y, size = blk.x, blk.y, blk.size
+    for d in range(n_rows + n_cols - 1):
+        rows = np.arange(max(0, d - n_cols + 1), min(d, n_rows - 1) + 1)
+        cols = d - rows
         if intra:
-            pred = _intra_dc(recon, x, y, size, mid)
+            pred = _intra_dc(recon, rows, cols, mid)
         else:
-            mvx, mvy = vectors[idx]
-            ry, rx = y - mvy, x - mvx
-            if not (0 <= ry <= ref_planes.shape[1] - size
-                    and 0 <= rx <= ref_planes.shape[2] - size):
-                raise ValueError(
-                    f"motion vector ({mvx}, {mvy}) leaves the reference")
-            pred = ref_planes[:, ry: ry + size, rx: rx + size]
-        residual = src[:, y: y + size, x: x + size] - pred
-        qstep = qsteps[idx]
-        levels = quantize(dct2(residual), qstep, deadzone)
-        channel_bits += bit_cost(levels)
-        rec_res = idct2(dequantize(levels, qstep))
-        recon[:, y: y + size, x: x + size] = np.clip(
-            np.rint(pred + rec_res), 0, frame.max_value)
-    cropped = recon[:, : frame.height, : frame.width]
+            pred = windows[:, ry[rows, cols], rx[rows, cols]].swapaxes(0, 1)
+        qstep = qsteps[rows, cols]
+        levels = quantize(dct2(src[rows, cols] - pred), qstep, deadzone)
+        channel_bits += bit_cost(levels).sum(axis=0)
+        rec = np.rint(pred + idct2(dequantize(levels, qstep)))
+        recon[rows, cols] = np.clip(rec, 0, frame.max_value)
+    cropped = recon_planes[:, : frame.height, : frame.width]
     diff = (frame.planes - cropped).astype(np.int64)
     sse = (diff * diff).sum(axis=(1, 2))
 

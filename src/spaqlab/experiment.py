@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -405,8 +406,16 @@ def _qpmap_csv(frame: int, qmap) -> str:
 
 
 def emit(report: ExperimentReport, out_dir) -> None:
-    """Write report.csv, report.json, rate_points.csv and QP map dumps."""
+    """Write report.csv, report.json, rate_points.csv and QP map dumps.
+
+    An earlier run's qpmaps/ tree is removed before any file is written,
+    so none of its maps sit beside this run's; rmtree refuses a symlinked
+    qpmaps with an OSError.
+    """
     os.makedirs(out_dir, exist_ok=True)
+    qpmaps = os.path.join(out_dir, "qpmaps")
+    if os.path.lexists(qpmaps):
+        shutil.rmtree(qpmaps)
 
     with open(os.path.join(out_dir, "report.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -435,7 +444,7 @@ def emit(report: ExperimentReport, out_dir) -> None:
             writer.writerow([r.qp, r.mode, r.bits, _fmt(_round6(r.ssim))])
 
     for (mode, qp), cell in report.cells.items():
-        sub = os.path.join(out_dir, "qpmaps", f"{mode}_qp{qp}")
+        sub = os.path.join(qpmaps, f"{mode}_qp{qp}")
         os.makedirs(sub, exist_ok=True)
         for n, qmap in enumerate(cell.qp_maps):
             path = os.path.join(sub, f"qpmap_{n:04d}.csv")

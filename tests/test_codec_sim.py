@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import encode_frame_by_cb
 from spaqlab.codec_sim import (
     INTER_DEADZONE,
     bit_cost,
@@ -117,7 +118,7 @@ def test_bit_cost_examples():
 def test_bit_cost_matches_oracle():
     levels = np.arange(-1000, 1001, dtype=np.int64)
     expect = levels.size + sum(se_golomb_bits(int(k)) for k in levels if k != 0)
-    assert bit_cost(levels) == expect
+    assert bit_cost(levels.reshape(1, -1)) == expect
     rng = np.random.default_rng(2)
     for _ in range(50):
         lv = rng.integers(-300000, 300001, (8, 8))
@@ -240,6 +241,20 @@ def test_inter_frame_needs_matching_motion_field():
     with pytest.raises(ValueError, match="leaves the reference"):
         encode_frame(frame, frame, qmap, grid,
                      motion_field([(1, 0)] * grid.n_blocks))
+    # 90x60 pads to a 3x2 grid of 32x32 CBs (96x64). CB 2 at (64, 0)
+    # leaves by the bottom edge and CB 3 at (0, 32), on an earlier
+    # anti-diagonal, by the left edge: the raster-first vector is named.
+    padded = smooth_frame(90, 60)
+    grid = build_grid(90, 60, 1)
+    qmap = uniform_qp_map(27, grid.n_blocks)
+    leaving = [(0, 0), (0, 0), (0, -33), (1, 0), (0, 0), (0, 0)]
+    with pytest.raises(ValueError,
+                       match=r"^motion vector \(0, -33\) leaves the reference$"):
+        encode_frame(padded, padded, qmap, grid, motion_field(leaving))
+    # vectors whose blocks end exactly on the padded edges are accepted
+    on_edge = [(-64, -32), (0, -32), (0, -32), (0, 0), (32, 32), (64, 0)]
+    enc = encode_frame(padded, padded, qmap, grid, motion_field(on_edge))
+    assert enc.recon.planes.shape == padded.planes.shape
 
 
 def test_partial_frame_encodes_and_crops():
@@ -322,3 +337,49 @@ def test_encode_frame_invariants_property(case):
                                   pad_plane(intra.recon.planes[0], grid),
                                   grid, 4)
     check_encoded(second, encode_frame(second, intra.recon, qmap, grid, field))
+
+
+@st.composite
+def raster_cases(draw):
+    w, h = draw(st.integers(8, 100)), draw(st.integers(8, 100))
+    bit_depth = draw(st.sampled_from((8, 10, 12)))
+    grid = build_grid(w, h, draw(st.sampled_from((0, 1, 2))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = [Frame(w, h, bit_depth,
+                    rng.integers(0, 1 << bit_depth, (3, h, w), dtype=np.int32))
+              for _ in range(2)]
+    qp = rng.integers(0, 52, (3, grid.n_blocks))
+    zeros = np.zeros(qp.shape)
+    qstep = np.vectorize(qp_to_qstep)(qp)
+    qmap = QpMap(int(qp[0, 0]), zeros.astype(np.int64), zeros, zeros,
+                 qp.astype(np.float64), qstep)
+    # every in-range vector per CB: a reference corner from 0 to the last
+    # one whose block ends on the padded edge, each edge drawn often
+    size = grid.cb_size
+    corner = np.indices((grid.rows, grid.cols)).reshape(2, -1) * size
+    last = np.array([[grid.padded_height - size], [grid.padded_width - size]])
+    pick = rng.integers(0, 3, corner.shape)
+    ref_corner = np.where(pick == 0, 0, np.where(
+        pick == 1, last, rng.integers(0, last + 1, corner.shape)))
+    vectors = (corner - ref_corner)[::-1].T  # (n, 2) as (dx, dy)
+    return frames, grid, qmap, motion_field(vectors)
+
+
+def assert_same_encoding(got, want):
+    assert np.array_equal(got.recon.planes, want.recon.planes)
+    assert got.channel_bits == want.channel_bits
+    assert got.bits == want.bits
+    assert got.sse == want.sse
+
+
+@settings(deadline=None, max_examples=60)
+@given(raster_cases())
+def test_diagonal_stacks_match_raster_oracle(case):
+    # single-row and single-column grids, padded edges, a QP per
+    # (channel, CB) and vectors reaching the padded edges
+    (first, second), grid, qmap, field = case
+    intra = encode_frame(first, None, qmap, grid)
+    assert_same_encoding(intra, encode_frame_by_cb(first, None, qmap, grid))
+    inter = encode_frame(second, intra.recon, qmap, grid, field)
+    assert_same_encoding(
+        inter, encode_frame_by_cb(second, intra.recon, qmap, grid, field))

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import shutil
 import weakref
 
 import numpy as np
@@ -450,6 +451,44 @@ def test_qpmap_dumps_written(tmp_path):
                       "delta", "qp", "qstep"]
     # one row per CB per channel
     assert len(rows) - 1 == 3 * build_grid(64, 64, 2).n_blocks
+
+
+def tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_rerun_into_out_replaces_qpmaps(tmp_path, monkeypatch, capsys):
+    # a second run into the same --out leaves exactly what a fresh run of
+    # it leaves: no QP maps of the first run's QPs or frames
+    small = ["--synthetic", "mixed", "--width", "32", "--height", "32",
+             "--cb-depth", "2", "--search-range", "2", "--out", "o"]
+    first = small + ["--qp", "22", "--qp", "27", "--frames", "3"]
+    second = small + ["--qp", "22", "--frames", "2"]
+    for name, runs in (("reused", (first, second)), ("fresh", (second,))):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        for args in runs:
+            assert main(args) == 0
+    reused = tree_bytes(tmp_path / "reused" / "o")
+    assert reused == tree_bytes(tmp_path / "fresh" / "o")
+    assert "qpmaps/spaq_qp22/qpmap_0002.csv" not in reused
+    assert "qpmaps/spaq_qp22/qpmap_0001.csv" in reused
+    capsys.readouterr()
+    # rmtree refuses a symlinked qpmaps: exit 1 with one line before any
+    # file is written, the link and its target left as they were
+    (tmp_path / "elsewhere").mkdir()
+    (tmp_path / "elsewhere" / "keep.csv").write_text("kept")
+    out = tmp_path / "fresh" / "o"
+    shutil.rmtree(out / "qpmaps")
+    (out / "qpmaps").symlink_to(tmp_path / "elsewhere")
+    (out / "report.csv").unlink()
+    assert main(second) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("spaqlab: error:")
+    assert (out / "qpmaps").is_symlink()
+    assert (tmp_path / "elsewhere" / "keep.csv").read_text() == "kept"
+    assert not (out / "report.csv").exists()
 
 
 def test_qpmap_and_histogram_format_pinned(tmp_path):
