@@ -108,6 +108,9 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} is negative; the generator "
                              "takes seeds >= 0")
+        if not (isinstance(self.shift, (tuple, list)) and len(self.shift) == 2
+                and all(isinstance(s, int) for s in self.shift)):
+            raise ValueError(f"shift must be two ints dx, dy, got {self.shift!r}")
 
 
 def _either(names) -> str:

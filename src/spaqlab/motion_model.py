@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .partitioner import BlockGrid, BlockRef
+from .partitioner import BlockGrid, BlockRef, window_sums
 
 DEFAULT_SEARCH_RANGE = 16
 
@@ -63,24 +63,18 @@ def _quadrant_bounds(region: np.ndarray, block: np.ndarray) -> np.ndarray:
     The quadrants are the block's four corner (n//2, n//2) boxes; by the
     triangle inequality a candidate's SAD is at least the sum over them of
     |sum(block quadrant) - sum(candidate quadrant)|. The candidates' box
-    sums come from one int64 integral image of the region.
+    sums are window_sums of the region: at most 32 * 32 * 4095, so exact.
     """
     n = len(block)
     half = n // 2
-    integral = np.zeros((region.shape[0] + 1, region.shape[1] + 1),
-                        dtype=np.int64)
-    inner = integral[1:, 1:]
-    np.cumsum(region, axis=0, dtype=np.int64, out=inner)
-    np.cumsum(inner, axis=1, out=inner)
-    top, left = integral.shape[0] - half, integral.shape[1] - half
-    boxes = (integral[half:, half:] - integral[:top, half:]
-             - integral[half:, :left] + integral[:top, :left])
+    boxes = window_sums(region, half,
+                        np.zeros(np.add(region.shape, 1), dtype=np.int32))
     ny, nx = region.shape[0] - n + 1, region.shape[1] - n + 1
-    bound = np.zeros((ny, nx), dtype=np.int64)
+    bound = np.zeros((ny, nx), dtype=np.int32)
     for y0 in (0, n - half):
         for x0 in (0, n - half):
             quad = boxes[y0: y0 + ny, x0: x0 + nx] - block[
-                y0: y0 + half, x0: x0 + half].sum(dtype=np.int64)
+                y0: y0 + half, x0: x0 + half].sum(dtype=np.int32)
             bound += np.abs(quad, out=quad)
     return bound
 

@@ -83,3 +83,19 @@ def pad_plane(plane: np.ndarray, grid: BlockGrid) -> np.ndarray:
         return plane
     lead = ((0, 0),) * (plane.ndim - 2)
     return np.pad(plane, lead + ((0, ph - h), (0, pw - w)), mode="edge")
+
+
+def window_sums(x: np.ndarray, k: int, integral: np.ndarray, out=None):
+    """int32 sum of the 2-D x over every k x k window (stride 1).
+
+    integral is a zero-bordered (H + 1, W + 1) int32 buffer that takes x's
+    running sums. They may wrap, but the four-corner difference (Crow 1984)
+    is exact modulo 2**32, so every window sum that fits in int32 is exact.
+    """
+    inner = integral[1:, 1:]
+    np.cumsum(x, axis=0, dtype=np.int32, out=inner)
+    np.cumsum(inner, axis=1, out=inner)
+    out = np.subtract(integral[k:, k:], integral[:-k, k:], out=out)
+    out -= integral[k:, :-k]
+    out += integral[:-k, :-k]
+    return out

@@ -3,8 +3,9 @@ percentage deltas against an anchor.
 
 SSIM uses an 8x8 uniform sliding window (stride 1) with the standard
 stabilizers C1 = (0.01*peak)^2 and C2 = (0.03*peak)^2; the global score
-of a frame is the mean of its three channel scores. Window sums are
-taken from integer integral images, so scores are exact and symmetric.
+of a frame is the mean of its three channel scores. Window sums come
+from wrapping int32 integral images (window_sums), exact since each is
+at most 64 * 4095^2 < 2^31 at 12 bits, so scores are exact and symmetric.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 
+from .partitioner import window_sums
 from .video_io import Frame
 
 PSNR_CAP_DB = 99.99
@@ -44,22 +46,15 @@ def ssim_plane(ref_plane: np.ndarray, test_plane: np.ndarray,
     # One integral image, one window-sum and one product buffer serve all
     # five statistics, and the float stage works in place: fresh full-plane
     # temporaries per call cost a page fault per 4 KiB at 960x540.
-    integral = np.zeros((h + 1, w + 1), dtype=np.int64)
-    inner = integral[1:, 1:]
-    sums = np.empty((h - win + 1, w - win + 1), dtype=np.int64)
-    prod = np.empty((h, w), dtype=np.int64)
+    integral = np.zeros((h + 1, w + 1), dtype=np.int32)
+    sums = np.empty((h - win + 1, w - win + 1), dtype=np.int32)
+    prod = np.empty((h, w), dtype=np.int32)
 
     def window_mean(x, out=None):
-        """Mean of x over every window, from exact int64 window sums."""
-        np.cumsum(x, axis=0, dtype=np.int64, out=inner)
-        np.cumsum(inner, axis=1, out=inner)
-        np.subtract(integral[win:, win:], integral[:-win, win:], out=sums)
-        np.subtract(sums, integral[win:, :-win], out=sums)
-        np.add(sums, integral[:-win, :-win], out=sums)
-        return np.divide(sums, n, out=out)
+        return np.divide(window_sums(x, win, integral, sums), n, out=out)
 
     def product(x, y):
-        return np.multiply(x, y, dtype=np.int64, out=prod)
+        return np.multiply(x, y, dtype=np.int32, out=prod)
 
     mu_a = window_mean(ref_plane)
     mu_b = window_mean(test_plane)
@@ -98,8 +93,8 @@ def ssim_global(ref: Frame, test: Frame) -> float:
         test.bit_depth,
     ):
         raise ValueError("frames must share dimensions and bit depth")
-    # one channel at a time: each call's integral images are full-plane
-    # int64 arrays, so three at once would triple the peak memory
+    # one channel at a time: each call holds full-plane int32 integral,
+    # product and window-sum buffers, so three at once would triple them
     return sum(ssim_plane(a, b, ref.bit_depth)
                for a, b in zip(ref.planes, test.planes)) / 3.0
 

@@ -402,6 +402,16 @@ def test_config_validation():
         ExperimentConfig(input_path="x", synthetic="noise").validate()
 
 
+@pytest.mark.parametrize("shift", [(1,), (1.5, 2), ("a", 1), (1, 2, 3), 3])
+def test_bad_shift_rejected_before_out_dir(tmp_path, shift):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError,
+                       match=r"^shift must be two ints dx, dy, got .*$"):
+        run(small_cfg(synthetic="moving-texture", shift=shift,
+                      out_dir=str(out)))
+    assert not out.exists()
+
+
 def test_emit_empty_report(tmp_path):
     emit(ExperimentReport("none", {}), tmp_path)
     lines = (tmp_path / "report.csv").read_text().strip().splitlines()

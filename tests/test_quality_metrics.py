@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from spaqlab.experiment import CellResult
+from spaqlab.partitioner import window_sums
 from spaqlab.quality_metrics import (
     PSNR_CAP_DB,
     mse_to_psnr,
@@ -123,6 +125,37 @@ def test_ssim_plane_equals_integral_image_expression_property(
     test = np.clip(ref + noise, 0, maxv).astype(np.int32)
     assert ssim_plane(ref, test, depth) == integral_image_ssim(ref, test, depth)
     assert ssim_plane(test, ref, depth) == integral_image_ssim(test, ref, depth)
+
+
+def near_max_pair(size, seed):
+    """Two 12-bit planes within 40 of 4095: every int32 integral wraps."""
+    rng = np.random.default_rng(seed)
+    ref = rng.integers(4055, 4096, (size, size)).astype(np.int32)
+    test = np.clip(ref + rng.integers(-40, 41, (size, size)), 4055,
+                   4095).astype(np.int32)
+    return ref, test
+
+
+def test_ssim_plane_exact_where_the_int32_integral_wraps():
+    ref, test = near_max_pair(736, 8)
+    # even the plain-sample integral passes 2^31: 736 * 736 * 4055 > 2^31
+    assert int(ref.sum(dtype=np.int64)) >= 2**31
+    assert ssim_plane(ref, test, 12) == integral_image_ssim(ref, test, 12)
+    assert ssim_plane(test, ref, 12) == integral_image_ssim(test, ref, 12)
+
+
+@pytest.mark.parametrize("k", [8, 16, 32])
+def test_window_sums_match_direct_sums_past_int32_wrap(k):
+    ref, test = near_max_pair(736, k)
+    # 8x8 windows of 12-bit products are SSIM's largest sums; a 16x16 or
+    # 32x32 window of them would not fit in int32
+    for x in (ref, test) + ((ref * test,) if k == 8 else ()):
+        integral = np.zeros((737, 737), dtype=np.int32)
+        got = window_sums(x, k, integral)
+        want = sliding_window_view(x, (k, k)).sum(axis=(-2, -1),
+                                                  dtype=np.int64)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
 
 
 def test_channel_replaced_by_its_mean():
