@@ -75,6 +75,11 @@ class ExperimentConfig:
             raise ValueError("exactly one of input_path and synthetic is required")
         if self.synthetic is not None and self.synthetic not in SYNTHETIC_KINDS:
             raise ValueError(f"unknown synthetic kind {self.synthetic!r}")
+        for name in ("width", "height", "bit_depth", "frames", "cb_depth",
+                     "search_range", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an int, "
+                                 f"got {getattr(self, name)!r}")
         if self.bit_depth not in SUPPORTED_BIT_DEPTHS:
             raise ValueError(f"unsupported bit depth {self.bit_depth}")
         if self.width < SSIM_WINDOW or self.height < SSIM_WINDOW:
@@ -87,8 +92,8 @@ class ExperimentConfig:
         if not self.qps:
             raise ValueError("at least one QP is required")
         for qp in self.qps:
-            if qp != int(qp) or not QP_MIN <= qp <= QP_MAX:
-                raise ValueError(f"QP {qp} is not an integer in [{QP_MIN}, {QP_MAX}]")
+            if not _is_int(qp) or not QP_MIN <= qp <= QP_MAX:
+                raise ValueError(f"QP {qp!r} is not an integer in [{QP_MIN}, {QP_MAX}]")
         if not self.modes:
             raise ValueError("at least one mode is required")
         for mode in self.modes:
@@ -108,9 +113,19 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} is negative; the generator "
                              "takes seeds >= 0")
-        if not (isinstance(self.shift, (tuple, list)) and len(self.shift) == 2
-                and all(isinstance(s, int) for s in self.shift)):
-            raise ValueError(f"shift must be two ints dx, dy, got {self.shift!r}")
+        _check_shift(self.shift)
+
+
+def _is_int(value) -> bool:
+    """True for a Python int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_shift(shift) -> None:
+    """Raise ValueError unless shift is two ints dx, dy."""
+    if not (isinstance(shift, (tuple, list)) and len(shift) == 2
+            and all(map(_is_int, shift))):
+        raise ValueError(f"shift must be two ints dx, dy, got {shift!r}")
 
 
 def _either(names) -> str:
@@ -151,6 +166,7 @@ def gen_synthetic(kind: str, width: int = 128, height: int = 128,
         raise ValueError(f"unknown synthetic kind {kind!r}")
     if kind == "moving-texture" and (width < 64 or height < 64):
         raise ValueError("moving-texture needs at least 64x64 frames")
+    _check_shift(shift)
     rng = np.random.default_rng(seed)
     maxv = (1 << bit_depth) - 1
     mid = 1 << (bit_depth - 1)

@@ -412,6 +412,32 @@ def test_bad_shift_rejected_before_out_dir(tmp_path, shift):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("width", 32.0), ("height", np.int64(32)), ("bit_depth", 8.0),
+    ("frames", 2.0), ("cb_depth", True), ("search_range", 2.5),
+    ("seed", 1.5), ("qps", (22.0,)), ("qps", (True,)),
+    ("qps", (np.int64(22),)),
+])
+def test_non_int_numbers_rejected_before_out_dir(tmp_path, field, value):
+    out = tmp_path / "out"
+    cfg = small_cfg(synthetic="gradient", width=32, height=32, frames=2,
+                    qps=(22,), out_dir=str(out))
+    setattr(cfg, field, value)
+    with pytest.raises(ValueError, match=(
+            r"^(\w+ must be an int, got .+|QP .+ is not an integer in "
+            r"\[0, 51\])$")):
+        run(cfg)
+    assert not out.exists()
+
+
+def test_gen_synthetic_checks_shift_like_the_config():
+    with pytest.raises(ValueError,
+                       match=r"^shift must be two ints dx, dy, got \(1,\)$"):
+        gen_synthetic("moving-texture", 64, 64, 2, 8, 0, (1,))
+    with pytest.raises(ValueError, match="^shift must be two ints"):
+        gen_synthetic("noise", 64, 64, 1, 8, 0, (True, 1))
+
+
 def test_emit_empty_report(tmp_path):
     emit(ExperimentReport("none", {}), tmp_path)
     lines = (tmp_path / "report.csv").read_text().strip().splitlines()

@@ -9,8 +9,10 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import temporal_offset_br, temporal_offset_g
 from spaqlab import motion_model
+from spaqlab.experiment import gen_synthetic
 from spaqlab.motion_model import block_match, estimate_motion_field, motion_field
 from spaqlab.partitioner import BlockRef, build_grid, pad_plane
+from spaqlab.video_io import G
 
 
 def brute_force_match(cur, ref, pu, search_range):
@@ -36,7 +38,7 @@ def brute_force_match(cur, ref, pu, search_range):
 def test_identical_planes_give_zero_vector():
     rng = np.random.default_rng(0)
     plane = rng.integers(0, 256, (32, 32), dtype=np.int64).astype(np.int32)
-    assert block_match(plane, plane, BlockRef(8, 8, 8), 4) == (0, 0)
+    assert block_match(plane, plane, [BlockRef(8, 8, 8)], 4) == [(0, 0)]
 
 
 def test_planted_right_shift_recovered():
@@ -46,13 +48,12 @@ def test_planted_right_shift_recovered():
     cur = np.empty_like(ref)
     cur[:, 2:] = ref[:, :-2]
     cur[:, :2] = ref[:, :2]
-    mv = block_match(cur, ref, BlockRef(16, 8, 16), 4)
-    assert mv == (2, 0)
+    assert block_match(cur, ref, [BlockRef(16, 8, 16)], 4) == [(2, 0)]
 
 
 def test_constant_planes_tie_break_to_zero():
     plane = np.full((32, 32), 5, dtype=np.int32)
-    assert block_match(plane, plane, BlockRef(8, 8, 16), 4) == (0, 0)
+    assert block_match(plane, plane, [BlockRef(8, 8, 16)], 4) == [(0, 0)]
 
 
 def test_equal_magnitude_ties_prefer_smaller_y_then_x():
@@ -60,9 +61,9 @@ def test_equal_magnitude_ties_prefer_smaller_y_then_x():
     # the zero vector does not
     checker = np.indices((32, 32)).sum(axis=0) % 2
     pu = BlockRef(8, 8, 8)
-    assert block_match(1 - checker, checker, pu, 2) == (0, -1)
+    assert block_match(1 - checker, checker, [pu], 2) == [(0, -1)]
     stripes = np.indices((32, 32))[1] % 2
-    assert block_match(1 - stripes, stripes, pu, 2) == (-1, 0)
+    assert block_match(1 - stripes, stripes, [pu], 2) == [(-1, 0)]
 
 
 def test_matches_exhaustive_oracle():
@@ -75,7 +76,8 @@ def test_matches_exhaustive_oracle():
         y = int(rng.integers(0, h - 8 + 1))
         pu = BlockRef(x - x % 2, y - y % 2, 8)
         r = int(rng.integers(0, 5))
-        assert block_match(cur, ref, pu, r) == brute_force_match(cur, ref, pu, r)
+        assert block_match(cur, ref, [pu], r) == [
+            brute_force_match(cur, ref, pu, r)]
 
 
 def test_result_sad_never_beats_zero_vector():
@@ -84,7 +86,7 @@ def test_result_sad_never_beats_zero_vector():
         ref = rng.integers(0, 256, (32, 32), dtype=np.int64).astype(np.int32)
         cur = rng.integers(0, 256, (32, 32), dtype=np.int64).astype(np.int32)
         pu = BlockRef(8, 8, 16)
-        mvx, mvy = block_match(cur, ref, pu, 6)
+        (mvx, mvy), = block_match(cur, ref, [pu], 6)
         blk = cur[8:24, 8:24].astype(np.int64)
 
         def sad_at(vx, vy):
@@ -201,9 +203,9 @@ def test_mismatched_planes_rejected():
     a = np.zeros((16, 16), dtype=np.int32)
     b = np.zeros((16, 8), dtype=np.int32)
     with pytest.raises(ValueError):
-        block_match(a, b, BlockRef(0, 0, 8), 2)
+        block_match(a, b, [BlockRef(0, 0, 8)], 2)
     with pytest.raises(ValueError):
-        block_match(a, a, BlockRef(0, 0, 8), -1)
+        block_match(a, a, [BlockRef(0, 0, 8)], -1)
 
 
 def test_pu_leaving_the_plane_rejected():
@@ -211,8 +213,49 @@ def test_pu_leaving_the_plane_rejected():
     for pu in (BlockRef(8, 0, 16), BlockRef(0, 8, 16),
                BlockRef(16, 0, 2), BlockRef(-2, 0, 8)):
         with pytest.raises(ValueError, match="leaves the 16x16 plane"):
-            block_match(plane, plane, pu, 2)
-    assert block_match(plane, plane, BlockRef(8, 8, 8), 2) == (0, 0)
+            block_match(plane, plane, [pu], 2)
+        # one PU outside the plane rejects its whole group
+        with pytest.raises(ValueError, match="leaves the 16x16 plane"):
+            block_match(plane, plane, [BlockRef(0, 0, pu.size), pu], 2)
+    assert block_match(plane, plane, [BlockRef(8, 8, 8)], 2) == [(0, 0)]
+
+
+def test_group_of_mixed_sizes_or_no_pus_rejected():
+    plane = np.zeros((32, 32), dtype=np.int32)
+    for pus in ([BlockRef(0, 0, 8), BlockRef(8, 0, 16)], []):
+        with pytest.raises(ValueError, match="all of one size"):
+            block_match(plane, plane, pus, 2)
+
+
+def assert_field_is_single_pu_searches(cur, ref, grid, search_range):
+    field = estimate_motion_field(cur, ref, grid, search_range)
+    assert field.vectors.tolist() == [
+        list(block_match(cur, ref, [pu], search_range)[0])
+        for pu in grid.blocks]
+
+
+def test_grouped_field_matches_single_pu_searches(searched, monkeypatch):
+    # range 64 puts at most 2**20 // 129**2 = 63 PUs in a group, so this
+    # 64-PU grid is searched as two groups, with one window-sum pass over
+    # each plane per group
+    seq = gen_synthetic("mixed", 128, 128, 2, 8, seed=3)
+    grid = build_grid(128, 128, 2)
+    cur, ref = (f.planes[G] for f in reversed(seq.frames))
+    passes = []
+    real_window_sums = motion_model.window_sums
+    monkeypatch.setattr(motion_model, "window_sums", lambda x, *a: (
+        passes.append(x.shape) or real_window_sums(x, *a)))
+    estimate_motion_field(cur, ref, grid, 64)
+    assert len(searched) == grid.n_blocks == 64
+    assert len(passes) == 4
+    assert_field_is_single_pu_searches(cur, ref, grid, 64)
+
+
+def test_grouped_field_matches_single_pu_searches_at_540p():
+    seq = gen_synthetic("moving-texture", 960, 540, 2, 10, seed=0)
+    grid = build_grid(960, 540, 1)
+    cur, ref = (pad_plane(f.planes[G], grid) for f in reversed(seq.frames))
+    assert_field_is_single_pu_searches(cur, ref, grid, 16)
 
 
 @st.composite
@@ -261,9 +304,11 @@ def candidates(cur, ref, pu, search_range):
 
 
 @st.composite
-def random_pu(draw, h, w):
-    """A PU of a power-of-two size inside an h x w plane, edges likely."""
-    n = draw(st.sampled_from([s for s in (2, 4, 8, 16) if s <= min(h, w)]))
+def random_pu(draw, h, w, n=None):
+    """A PU of size n, or of a power-of-two size, inside an h x w plane,
+    edges likely."""
+    if n is None:
+        n = draw(st.sampled_from([s for s in (2, 4, 8, 16) if s <= min(h, w)]))
     x, y = (draw(st.one_of(st.just(0), st.just(hi), st.integers(0, hi)))
             for hi in (w - n, h - n))
     return BlockRef(x, y, n)
@@ -278,17 +323,21 @@ def test_quadrant_bound_never_exceeds_sad_property(data, depth, search_range):
                 for _ in range(2))
     pu = data.draw(random_pu(h, w))
     n = pu.size
-    block = cur[pu.y: pu.y + n, pu.x: pu.x + n]
+    group = [pu] + data.draw(st.lists(random_pu(h, w, n), max_size=3))
+    ys, xs = np.array([(p.y, p.x) for p in group]).T
     for r in {0, search_range}:
-        cands = candidates(cur, ref, pu, r)
-        assert all(bound <= sad for bound, sad in cands.values())
-        # the search region's bounds, laid out by displacement
-        (dy_lo, dx_lo), (dy_hi, dx_hi) = min(cands), max(cands)
-        region = ref[pu.y + dy_lo: pu.y + dy_hi + n,
-                     pu.x + dx_lo: pu.x + dx_hi + n]
-        bounds = [[cands[dy, dx][0] for dx in range(dx_lo, dx_hi + 1)]
-                  for dy in range(dy_lo, dy_hi + 1)]
-        assert motion_model._quadrant_bounds(region, block).tolist() == bounds
+        got = motion_model._quadrant_bounds(
+            cur.astype(np.int16), ref.astype(np.int16), ys, xs, n, r)
+        assert got.shape == (len(group), 2 * r + 1, 2 * r + 1)
+        for p, got_p in zip(group, got):
+            cands = candidates(cur, ref, p, r)
+            assert all(bound <= sad for bound, sad in cands.values())
+            # the in-plane bounds, laid out by displacement
+            (dy_lo, dx_lo), (dy_hi, dx_hi) = min(cands), max(cands)
+            bounds = [[cands[dy, dx][0] for dx in range(dx_lo, dx_hi + 1)]
+                      for dy in range(dy_lo, dy_hi + 1)]
+            assert got_p[r + dy_lo: r + dy_hi + 1,
+                         r + dx_lo: r + dx_hi + 1].tolist() == bounds
 
 
 @st.composite
