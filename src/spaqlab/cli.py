@@ -74,8 +74,6 @@ def config_from_args(args) -> ExperimentConfig:
     if "shift" in kw:
         try:
             kw["shift"] = tuple(int(s) for s in args.shift.split(","))
-            if len(kw["shift"]) != 2:
-                raise ValueError
         except ValueError:
             raise ValueError(f"--shift expects 'dx,dy', got {args.shift!r}")
     return ExperimentConfig(**kw)

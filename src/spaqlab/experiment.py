@@ -30,8 +30,8 @@ from .partitioner import CB_SIZE_BY_DEPTH, build_grid, pad_plane
 from .qp_model import CLAMP_SCOPES, QP_MAX, QP_MIN, build_qp_map, uniform_qp_map
 from .quality_metrics import SSIM_WINDOW, mse_to_psnr, pct_delta, ssim_global
 from .spatial_activity import DEFAULT_SCALE, compute_activity_map
-from .video_io import (CHANNELS, G, SUPPORTED_BIT_DEPTHS, Frame, RawFormatError,
-                       Sequence, load_raw)
+from .video_io import (CHANNELS, G, SUPPORTED_BIT_DEPTHS, Frame, Sequence,
+                       load_raw)
 
 MODES = ("anchor-uniform", "spaq", "spatial-only", "temporal-only")
 SYNTHETIC_KINDS = ("noise", "gradient", "moving-texture", "mixed")
@@ -113,19 +113,14 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} is negative; the generator "
                              "takes seeds >= 0")
-        _check_shift(self.shift)
+        if not (isinstance(self.shift, (tuple, list)) and len(self.shift) == 2
+                and all(map(_is_int, self.shift))):
+            raise ValueError(f"shift must be two ints dx, dy, got {self.shift!r}")
 
 
 def _is_int(value) -> bool:
     """True for a Python int that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_shift(shift) -> None:
-    """Raise ValueError unless shift is two ints dx, dy."""
-    if not (isinstance(shift, (tuple, list)) and len(shift) == 2
-            and all(map(_is_int, shift))):
-        raise ValueError(f"shift must be two ints dx, dy, got {shift!r}")
 
 
 def _either(names) -> str:
@@ -161,12 +156,13 @@ def moving_patch_rect(width, height, frames, shift, n):
 def gen_synthetic(kind: str, width: int = 128, height: int = 128,
                   frames: int = 16, bit_depth: int = 8, seed: int = 0,
                   shift=(3, 4)) -> Sequence:
-    """Deterministic test content; same (kind, dims, seed) -> same samples."""
-    if kind not in SYNTHETIC_KINDS:
-        raise ValueError(f"unknown synthetic kind {kind!r}")
-    if kind == "moving-texture" and (width < 64 or height < 64):
-        raise ValueError("moving-texture needs at least 64x64 frames")
-    _check_shift(shift)
+    """Deterministic test content; same (kind, dims, seed) -> same samples.
+
+    The arguments pass a run config's checks before any sample is drawn.
+    """
+    ExperimentConfig(synthetic=kind, width=width, height=height,
+                     frames=frames, bit_depth=bit_depth, seed=seed,
+                     shift=shift).validate()
     rng = np.random.default_rng(seed)
     maxv = (1 << bit_depth) - 1
     mid = 1 << (bit_depth - 1)
@@ -330,12 +326,8 @@ def load_sequence(cfg: ExperimentConfig) -> Sequence:
     if cfg.synthetic is not None:
         return gen_synthetic(cfg.synthetic, cfg.width, cfg.height, cfg.frames,
                              cfg.bit_depth, cfg.seed, cfg.shift)
-    seq = load_raw(cfg.input_path, cfg.width, cfg.height, cfg.bit_depth,
-                   cfg.frames)
-    if len(seq.frames) < cfg.frames:
-        raise RawFormatError(f"{cfg.input_path} holds {len(seq.frames)} "
-                             f"frames, fewer than the {cfg.frames} requested")
-    return seq
+    return load_raw(cfg.input_path, cfg.width, cfg.height, cfg.bit_depth,
+                    cfg.frames)
 
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:

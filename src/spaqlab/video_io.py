@@ -100,20 +100,20 @@ def frame_byte_size(width: int, height: int, bit_depth: int) -> int:
 
 
 def load_raw(path, width: int, height: int, bit_depth: int,
-             max_frames: int | None = None) -> Sequence:
-    """Read a raw planar G,B,R file into a Sequence.
+             frames: int | None = None) -> Sequence:
+    """Read the first frames frames (all when None) of a raw planar G,B,R file.
 
-    Returns min(max_frames, available) frames; samples are masked to
-    bit_depth bits. Raises RawFormatError when path is not a regular file,
-    when the file size is not a whole number of frames, or the file holds
-    none.
+    Samples are masked to bit_depth bits. Raises RawFormatError, before a
+    byte is read, when path is not a regular file, when the file size is
+    not a positive whole number of frames or when it holds fewer frames
+    than asked for.
     """
     if bit_depth not in SUPPORTED_BIT_DEPTHS:
         raise ValueError(f"unsupported bit depth {bit_depth}")
     if width < 1 or height < 1:
         raise ValueError("frame dimensions must be at least 1x1")
-    if max_frames is not None and max_frames < 1:
-        raise ValueError("max_frames must be at least 1")
+    if frames is not None and frames < 1:
+        raise ValueError("frames must be at least 1")
 
     info = os.stat(path)
     if not stat.S_ISREG(info.st_mode):
@@ -126,19 +126,22 @@ def load_raw(path, width: int, height: int, bit_depth: int,
             f"{fbytes}-byte frame size for {width}x{height}@{bit_depth}bit"
         )
     available = fsize // fbytes
-    count = available if max_frames is None else min(max_frames, available)
+    frames = available if frames is None else frames
+    if frames > available:
+        raise RawFormatError(f"{path} holds {available} frames, fewer than "
+                             f"the {frames} requested")
 
     dtype = np.uint8 if bit_depth == 8 else np.dtype("<u2")
     mask = (1 << bit_depth) - 1
 
-    frames = []
+    out = []
     with open(path, "rb") as fh:
-        for _ in range(count):
+        for _ in range(frames):
             raw = np.fromfile(fh, dtype=dtype, count=3 * width * height)
             planes = raw.astype(np.int32).reshape(3, height, width)
             planes &= mask
-            frames.append(Frame(width, height, bit_depth, planes))
-    return Sequence(frames)
+            out.append(Frame(width, height, bit_depth, planes))
+    return Sequence(out)
 
 
 def write_raw(seq: Sequence, path) -> None:

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import shutil
 import weakref
 
@@ -25,7 +26,7 @@ from spaqlab.motion_model import estimate_motion_field
 from spaqlab.partitioner import build_grid, pad_plane
 from spaqlab.qp_model import qp_to_qstep
 from spaqlab.spatial_activity import compute_activity_map
-from spaqlab.video_io import G, Sequence, write_raw
+from spaqlab.video_io import G, RawFormatError, Sequence, write_raw
 
 
 def small_cfg(**kw):
@@ -438,6 +439,27 @@ def test_gen_synthetic_checks_shift_like_the_config():
         gen_synthetic("noise", 64, 64, 1, 8, 0, (True, 1))
 
 
+@pytest.mark.parametrize("args, message", [
+    (dict(bit_depth=8.0), "bit_depth must be an int, got 8.0"),
+    (dict(width=64.0), "width must be an int, got 64.0"),
+    (dict(frames=2.0), "frames must be an int, got 2.0"),
+    (dict(frames=0), "at least one frame is required"),
+    (dict(seed=-1), "seed -1 is negative; the generator takes seeds >= 0"),
+    (dict(bit_depth=9), "unsupported bit depth 9"),
+    (dict(width=4, height=4),
+     "frames must be at least 8x8 for the SSIM window"),
+])
+def test_gen_synthetic_checks_arguments_before_drawing(monkeypatch, args,
+                                                       message):
+    def no_draw(seed):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    kw = dict(width=64, height=64, frames=2, bit_depth=8, seed=0) | args
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gen_synthetic("gradient", **kw)
+
+
 def test_emit_empty_report(tmp_path):
     emit(ExperimentReport("none", {}), tmp_path)
     lines = (tmp_path / "report.csv").read_text().strip().splitlines()
@@ -668,6 +690,8 @@ def test_cli_bad_input_file(tmp_path):
     (["--synthetic", "noise", "--width", "4"], 2, "at least 8x8"),
     (["--synthetic", "noise", "--shift", "1,x"], 2,
      "--shift expects 'dx,dy', got '1,x'"),
+    (["--synthetic", "noise", "--shift=1,2,3"], 2,
+     "shift must be two ints dx, dy, got (1, 2, 3)"),
     (["--synthetic", "noise", "--search-range", "-1"], 2,
      "search_range must be >= 0"),
 ])
@@ -752,6 +776,25 @@ def test_cli_short_raw_file_rejected(tmp_path, capsys):
     assert not (out / "report.csv").exists()
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "fewer than the 16" in err
+
+
+def test_run_rejects_a_short_raw_file_before_reading_it(tmp_path,
+                                                        monkeypatch):
+    raw = tmp_path / "five.rgb"
+    write_raw(gen_synthetic("noise", 16, 16, 5, 8, seed=0), raw)
+    reads = []
+    fromfile = np.fromfile
+    monkeypatch.setattr(np, "fromfile", lambda *a, **kw: reads.append(
+        kw["count"]) or fromfile(*a, **kw))
+    cfg = ExperimentConfig(input_path=str(raw), width=16, height=16,
+                           frames=6, qps=(22,), modes=(ANCHOR_MODE,))
+    with pytest.raises(RawFormatError,
+                       match="holds 5 frames, fewer than the 6 requested$"):
+        run(cfg)
+    assert reads == []
+    cfg.frames = 5
+    run(cfg)
+    assert reads == [3 * 16 * 16] * 5
 
 
 def test_open_loop_and_v_source_paths():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -97,10 +99,13 @@ def test_max_frames_limits_read(tmp_path):
     seq = Sequence([make_frame(4, 4, 8, rng) for _ in range(5)])
     path = tmp_path / "m.rgb"
     write_raw(seq, path)
-    assert len(load_raw(path, 4, 4, 8, max_frames=2).frames) == 2
-    assert len(load_raw(path, 4, 4, 8, max_frames=99).frames) == 5
+    assert len(load_raw(path, 4, 4, 8, frames=2).frames) == 2
+    with pytest.raises(RawFormatError, match=(
+            f"^{re.escape(str(path))} holds 5 frames, fewer than the 99 "
+            "requested$")):
+        load_raw(path, 4, 4, 8, frames=99)
     with pytest.raises(ValueError):
-        load_raw(path, 4, 4, 8, max_frames=0)
+        load_raw(path, 4, 4, 8, frames=0)
 
 
 def test_unwritable_path_propagates_io_error(tmp_path):
