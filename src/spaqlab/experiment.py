@@ -31,7 +31,7 @@ from .qp_model import CLAMP_SCOPES, QP_MAX, QP_MIN, build_qp_map, uniform_qp_map
 from .quality_metrics import SSIM_WINDOW, mse_to_psnr, pct_delta, ssim_global
 from .spatial_activity import DEFAULT_SCALE, compute_activity_map
 from .video_io import (CHANNELS, G, SUPPORTED_BIT_DEPTHS, Frame, Sequence,
-                       load_raw)
+                       check_ints, is_int, load_raw)
 
 MODES = ("anchor-uniform", "spaq", "spatial-only", "temporal-only")
 SYNTHETIC_KINDS = ("noise", "gradient", "moving-texture", "mixed")
@@ -75,11 +75,9 @@ class ExperimentConfig:
             raise ValueError("exactly one of input_path and synthetic is required")
         if self.synthetic is not None and self.synthetic not in SYNTHETIC_KINDS:
             raise ValueError(f"unknown synthetic kind {self.synthetic!r}")
-        for name in ("width", "height", "bit_depth", "frames", "cb_depth",
-                     "search_range", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an int, "
-                                 f"got {getattr(self, name)!r}")
+        check_ints(**{name: getattr(self, name) for name in (
+            "width", "height", "bit_depth", "frames", "cb_depth",
+            "search_range", "seed")})
         if self.bit_depth not in SUPPORTED_BIT_DEPTHS:
             raise ValueError(f"unsupported bit depth {self.bit_depth}")
         if self.width < SSIM_WINDOW or self.height < SSIM_WINDOW:
@@ -92,7 +90,7 @@ class ExperimentConfig:
         if not self.qps:
             raise ValueError("at least one QP is required")
         for qp in self.qps:
-            if not _is_int(qp) or not QP_MIN <= qp <= QP_MAX:
+            if not is_int(qp) or not QP_MIN <= qp <= QP_MAX:
                 raise ValueError(f"QP {qp!r} is not an integer in [{QP_MIN}, {QP_MAX}]")
         if not self.modes:
             raise ValueError("at least one mode is required")
@@ -114,13 +112,8 @@ class ExperimentConfig:
             raise ValueError(f"seed {self.seed} is negative; the generator "
                              "takes seeds >= 0")
         if not (isinstance(self.shift, (tuple, list)) and len(self.shift) == 2
-                and all(map(_is_int, self.shift))):
+                and all(map(is_int, self.shift))):
             raise ValueError(f"shift must be two ints dx, dy, got {self.shift!r}")
-
-
-def _is_int(value) -> bool:
-    """True for a Python int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _either(names) -> str:

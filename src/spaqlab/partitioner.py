@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .video_io import check_ints
+
 CB_SIZE_BY_DEPTH = {0: 64, 1: 32, 2: 16}
 
 
@@ -58,6 +60,7 @@ class BlockGrid:
 
 def build_grid(width: int, height: int, depth: int) -> BlockGrid:
     """Tile a width x height frame with CBs at the given quadtree depth."""
+    check_ints(width=width, height=height, depth=depth)
     if depth not in CB_SIZE_BY_DEPTH:
         raise ValueError(f"depth must be one of {sorted(CB_SIZE_BY_DEPTH)}, got {depth}")
     if width < 1 or height < 1:

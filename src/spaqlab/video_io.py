@@ -25,6 +25,18 @@ class RawFormatError(ValueError):
     """Raised when a raw file does not match the declared geometry."""
 
 
+def is_int(value) -> bool:
+    """True for a Python int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_ints(**values) -> None:
+    """Raise ValueError naming the first of values that is not an int."""
+    for name, value in values.items():
+        if not is_int(value):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def bytes_per_sample(bit_depth: int) -> int:
     return 1 if bit_depth == 8 else 2
 
@@ -108,6 +120,8 @@ def load_raw(path, width: int, height: int, bit_depth: int,
     not a positive whole number of frames or when it holds fewer frames
     than asked for.
     """
+    check_ints(width=width, height=height, bit_depth=bit_depth,
+               **({} if frames is None else {"frames": frames}))
     if bit_depth not in SUPPORTED_BIT_DEPTHS:
         raise ValueError(f"unsupported bit depth {bit_depth}")
     if width < 1 or height < 1:

@@ -690,10 +690,10 @@ def test_cli_bad_input_file(tmp_path):
     (["--synthetic", "noise", "--width", "4"], 2, "at least 8x8"),
     (["--synthetic", "noise", "--shift", "1,x"], 2,
      "--shift expects 'dx,dy', got '1,x'"),
-    (["--synthetic", "noise", "--shift=1,2,3"], 2,
-     "shift must be two ints dx, dy, got (1, 2, 3)"),
     (["--synthetic", "noise", "--search-range", "-1"], 2,
      "search_range must be >= 0"),
+    (["--synthetic", "noise", "--shift=1,2,3"], 2,
+     "shift must be two ints dx, dy, got (1, 2, 3)"),
 ])
 def test_cli_failure_modes_exit_with_one_line(tmp_path, monkeypatch, capsys,
                                               args, code, message):

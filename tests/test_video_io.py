@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from spaqlab.partitioner import build_grid
 from spaqlab.video_io import (
     Frame,
     RawFormatError,
@@ -106,6 +107,23 @@ def test_max_frames_limits_read(tmp_path):
         load_raw(path, 4, 4, 8, frames=99)
     with pytest.raises(ValueError):
         load_raw(path, 4, 4, 8, frames=0)
+
+
+@pytest.mark.parametrize("func, args, message", [
+    ("load_raw", (16.0, 16, 8), "width must be an int, got 16.0"),
+    ("load_raw", (16, True, 8), "height must be an int, got True"),
+    ("load_raw", (16, 16, 8.0), "bit_depth must be an int, got 8.0"),
+    ("load_raw", (16, 16, 8, 1.5), "frames must be an int, got 1.5"),
+    ("build_grid", (64.0, 64, 1), "width must be an int, got 64.0"),
+    ("build_grid", (64, 64, 1.0), "depth must be an int, got 1.0"),
+])
+def test_non_int_sizes_rejected_with_one_line(tmp_path, func, args, message):
+    path = tmp_path / "two.rgb"
+    path.write_bytes(bytes(2 * frame_byte_size(16, 16, 8)))
+    call = {"load_raw": lambda *a: load_raw(path, *a),
+            "build_grid": build_grid}[func]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(*args)
 
 
 def test_unwritable_path_propagates_io_error(tmp_path):
