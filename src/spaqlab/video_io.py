@@ -120,14 +120,15 @@ def load_raw(path, width: int, height: int, bit_depth: int,
     not a positive whole number of frames or when it holds fewer frames
     than asked for.
     """
-    check_ints(width=width, height=height, bit_depth=bit_depth,
-               **({} if frames is None else {"frames": frames}))
+    check_ints(width=width, height=height, bit_depth=bit_depth)
     if bit_depth not in SUPPORTED_BIT_DEPTHS:
         raise ValueError(f"unsupported bit depth {bit_depth}")
     if width < 1 or height < 1:
         raise ValueError("frame dimensions must be at least 1x1")
-    if frames is not None and frames < 1:
-        raise ValueError("frames must be at least 1")
+    if frames is not None:
+        check_ints(frames=frames)
+        if frames < 1:
+            raise ValueError("frames must be at least 1")
 
     info = os.stat(path)
     if not stat.S_ISREG(info.st_mode):
