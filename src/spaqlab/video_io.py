@@ -57,6 +57,8 @@ class Frame:
     planes: np.ndarray
 
     def __post_init__(self):
+        check_ints(width=self.width, height=self.height,
+                   bit_depth=self.bit_depth)
         if self.bit_depth not in SUPPORTED_BIT_DEPTHS:
             raise ValueError(f"unsupported bit depth {self.bit_depth}")
         planes = np.ascontiguousarray(self.planes)

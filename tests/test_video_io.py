@@ -116,12 +116,16 @@ def test_max_frames_limits_read(tmp_path):
     ("load_raw", (16, 16, 8, 1.5), "frames must be an int, got 1.5"),
     ("build_grid", (64.0, 64, 1), "width must be an int, got 64.0"),
     ("build_grid", (64, 64, 1.0), "depth must be an int, got 1.0"),
+    ("Frame", (2.0, 2, 8, np.zeros((3, 2, 2), np.int32)),
+     "width must be an int, got 2.0"),
+    ("Frame", (2, 2, 8.0, np.zeros((3, 2, 2), np.int32)),
+     "bit_depth must be an int, got 8.0"),
 ])
 def test_non_int_sizes_rejected_with_one_line(tmp_path, func, args, message):
     path = tmp_path / "two.rgb"
     path.write_bytes(bytes(2 * frame_byte_size(16, 16, 8)))
     call = {"load_raw": lambda *a: load_raw(path, *a),
-            "build_grid": build_grid}[func]
+            "build_grid": build_grid, "Frame": Frame}[func]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(*args)
 
