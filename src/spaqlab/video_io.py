@@ -115,12 +115,13 @@ def frame_byte_size(width: int, height: int, bit_depth: int) -> int:
 
 def load_raw(path, width: int, height: int, bit_depth: int,
              frames: int | None = None) -> Sequence:
-    """Read the first frames frames (all when None) of a raw planar G,B,R file.
+    """Read a raw planar G,B,R file into a Sequence.
 
-    Samples are masked to bit_depth bits. Raises RawFormatError, before a
-    byte is read, when path is not a regular file, when the file size is
-    not a positive whole number of frames or when it holds fewer frames
-    than asked for.
+    Returns exactly the frames count from the start of the file, or every
+    frame when frames is None; samples are masked to bit_depth bits.
+    Raises RawFormatError, before a byte is read, when path is not a
+    regular file, when the file size is not a positive whole number of
+    frames or when it holds fewer frames than asked for.
     """
     check_ints(width=width, height=height, bit_depth=bit_depth)
     if bit_depth not in SUPPORTED_BIT_DEPTHS:
