@@ -159,8 +159,9 @@ def encode_frame(frame: Frame, ref: Frame | None, qp_map: QpMap,
         rec = np.rint(pred + idct2(dequantize(levels, qstep)))
         recon[rows, cols] = np.clip(rec, 0, frame.max_value)
     cropped = recon_planes[:, : frame.height, : frame.width]
-    diff = (frame.planes - cropped).astype(np.int64)
-    sse = (diff * diff).sum(axis=(1, 2))
+    # |diff| <= 4095 at 12 bits, so each square is exact in int32
+    diff = np.subtract(frame.planes, cropped)
+    sse = np.square(diff, out=diff).sum(axis=(1, 2), dtype=np.int64)
 
     recon_frame = Frame(frame.width, frame.height, frame.bit_depth, cropped)
     return EncodedFrame(recon_frame, int(channel_bits.sum()),

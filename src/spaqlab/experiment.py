@@ -1,10 +1,12 @@
 """Anchor-vs-SPAQ experiment runner.
 
-Runs one sequence through the codec once per (mode, QP) cell and collects
+Runs one sequence through the codec in every (mode, QP) cell and collects
 bit cost, per-channel PSNR and global SSIM per cell, plus percentage
 deltas against the uniform-QP anchor at the same QP. GOP structure is
 IPPP: the first frame is intra, every later frame predicts from the
-previous reconstruction (closed loop).
+previous reconstruction (closed loop). The cells are coded frame-major,
+frame n of every cell before frame n + 1 of any, and cells whose QP
+arrays agree on every frame so far share one coding of the frame.
 
 Modes:
   anchor-uniform  every CB uses the frame-level QP unchanged
@@ -212,8 +214,8 @@ def gen_synthetic(kind: str, width: int = 128, height: int = 128,
 class CellResult:
     """One (mode, QP) cell: the coded outcome and its deltas vs the anchor.
 
-    run_cell fills in everything but the pct_* fields, which run() sets
-    once the anchor cell at the same QP is known. psnr_db, mse and the
+    The frame loop fills in everything but the pct_* fields, which run()
+    sets once the anchor cell at the same QP is known. psnr_db, mse and the
     pct_psnr_* tuples are per channel (G, B, R); mse is pooled over frames.
     """
 
@@ -241,70 +243,109 @@ class CellResult:
         self.pct_psnr_mse = tuple(map(pct_delta, anchor.mse, self.mse))
 
 
+class _Chain:
+    """One cell partway through its frames: the reconstruction its next
+    frame predicts from, that coding's index in its frame's store, its
+    last motion field's mean magnitude and its running sums."""
+
+    def __init__(self, mode: str, base_qp: int):
+        self.mode, self.base_qp = mode, base_qp
+        self.use_spatial = mode in ("spaq", "spatial-only")
+        self.use_temporal = mode in ("spaq", "temporal-only")
+        self.ref = self.key = self.prev_mean_mag = None
+        self.channel_bits = np.zeros(3, dtype=np.int64)
+        self.sse = np.zeros(3, dtype=np.int64)
+        self.ssim_sum = 0.0
+        self.frame_bits, self.qp_maps = [], []
+
+    def qp_map(self, activity, fld, n_blocks: int, cfg: ExperimentConfig):
+        """This frame's QP map from the frame's activity and the cell's field.
+
+        With cfg.v_source "previous", the temporal offsets of frame n are
+        thresholded against the mean magnitude of frame n-1; frame 1 has
+        no earlier motion field, so it falls back to its own mean.
+        """
+        if self.mode == ANCHOR_MODE:
+            return uniform_qp_map(self.base_qp, n_blocks)
+        if self.use_temporal and fld is not None:
+            mags = fld.magnitudes
+            if cfg.v_source == "previous" and self.prev_mean_mag is not None:
+                vmean = self.prev_mean_mag
+            else:
+                vmean = fld.mean_magnitude
+        else:
+            mags, vmean = None, 0.0
+        return build_qp_map(self.base_qp, n_blocks,
+                            activity=activity if self.use_spatial else None,
+                            magnitudes=mags, mean_magnitude=vmean,
+                            scope=cfg.clamp_scope)
+
+    def add(self, enc, ssim: float, qmap, fld) -> None:
+        self.ref = enc.recon
+        self.channel_bits += enc.channel_bits
+        self.frame_bits.append(enc.bits)
+        self.sse += enc.sse
+        self.ssim_sum += ssim
+        self.qp_maps.append(qmap)
+        if fld is not None:
+            self.prev_mean_mag = fld.mean_magnitude
+
+    def result(self, seq: Sequence) -> CellResult:
+        samples = len(seq.frames) * seq.width * seq.height
+        mse = tuple(float(s) / samples for s in self.sse)
+        return CellResult(self.mode, self.base_qp, sum(self.frame_bits),
+                          tuple(int(b) for b in self.channel_bits), mse,
+                          tuple(mse_to_psnr(m, seq.bit_depth) for m in mse),
+                          self.ssim_sum / len(seq.frames), self.frame_bits,
+                          self.qp_maps)
+
+
+def _run_cells(seq: Sequence, grid, cells, cfg: ExperimentConfig,
+               fields: dict | None) -> list:
+    """Code cells, a list of (mode, base QP), frame-major: frame n of every
+    cell before frame n + 1 of any. Returns their CellResults in order.
+
+    The source's padded G plane and, if any cell is spatial, its activity
+    map are made once per frame. encode_frame reads only the frame, the
+    cell's reference, its QP array and its motion field, and the field
+    follows from the frame and the reference (or the previous source). So
+    cells whose QP arrays agree on frames 0..n hold the same
+    reconstruction of frame n: each distinct chain of QP arrays is coded
+    and scored once per frame, and a frame's codings are dropped once
+    every cell has coded the next one. fields is handed to
+    estimate_motion_field, so cells that share it search each distinct
+    (current, reference) plane pair once.
+    """
+    chains = [_Chain(mode, base_qp) for mode, base_qp in cells]
+    spatial = any(ch.use_spatial for ch in chains)
+    src_prev = None
+    for frame in seq.frames:
+        src = pad_plane(frame.planes[G], grid)
+        act = compute_activity_map(frame, grid).a if spatial else None
+        # (index, EncodedFrame, SSIM) of this frame's codings, keyed by the
+        # index of the coding they predict from and their QP array
+        store = {}
+        for ch in chains:
+            fld = None if ch.ref is None else estimate_motion_field(
+                src, src_prev if cfg.open_loop_me
+                else pad_plane(ch.ref.planes[G], grid),
+                grid, cfg.search_range, fields)
+            qmap = ch.qp_map(act, fld, grid.n_blocks, cfg)
+            key = (ch.key, qmap.qp.tobytes())
+            if key not in store:
+                enc = encode_frame(frame, ch.ref, qmap, grid, fld)
+                store[key] = len(store), enc, ssim_global(frame, enc.recon)
+            ch.key, enc, ssim = store[key]
+            ch.add(enc, ssim, qmap, fld)
+        src_prev = src
+    return [ch.result(seq) for ch in chains]
+
+
 def run_cell(seq: Sequence, grid, mode: str, base_qp: int,
              cfg: ExperimentConfig, fields: dict | None = None) -> CellResult:
-    """Code a whole sequence in one mode at one base QP.
-
-    With cfg.v_source "previous", the temporal offsets of frame n are
-    thresholded against the mean magnitude of frame n-1; frame 1 has no
-    earlier motion field, so it falls back to its own mean. fields is
-    handed to estimate_motion_field, so cells that share it search each
-    distinct (current, reference) plane pair once.
-    """
-    use_spatial = mode in ("spaq", "spatial-only")
-    use_temporal = mode in ("spaq", "temporal-only")
-
-    recon_prev = None
-    prev_mean_mag = None
-    total_bits = 0
-    channel_bits = np.zeros(3, dtype=np.int64)
-    frame_bits = []
-    sse = np.zeros(3, dtype=np.int64)
-    ssim_sum = 0.0
-    qp_maps = []
-
-    for n, frame in enumerate(seq.frames):
-        if recon_prev is None:
-            fld = None
-        else:
-            me_ref = seq.frames[n - 1] if cfg.open_loop_me else recon_prev
-            fld = estimate_motion_field(
-                pad_plane(frame.planes[G], grid),
-                pad_plane(me_ref.planes[G], grid),
-                grid, cfg.search_range, fields,
-            )
-        if mode == ANCHOR_MODE:
-            qmap = uniform_qp_map(base_qp, grid.n_blocks)
-        else:
-            act = compute_activity_map(frame, grid).a if use_spatial else None
-            if use_temporal and fld is not None:
-                mags = fld.magnitudes
-                if cfg.v_source == "previous" and prev_mean_mag is not None:
-                    vmean = prev_mean_mag
-                else:
-                    vmean = fld.mean_magnitude
-            else:
-                mags, vmean = None, 0.0
-            qmap = build_qp_map(base_qp, grid.n_blocks, activity=act,
-                                magnitudes=mags, mean_magnitude=vmean,
-                                scope=cfg.clamp_scope)
-        enc = encode_frame(frame, recon_prev, qmap, grid, fld)
-        total_bits += enc.bits
-        channel_bits += np.asarray(enc.channel_bits)
-        frame_bits.append(enc.bits)
-        sse += np.asarray(enc.sse)
-        ssim_sum += ssim_global(frame, enc.recon)
-        qp_maps.append(qmap)
-        recon_prev = enc.recon
-        if fld is not None:
-            prev_mean_mag = fld.mean_magnitude
-
-    samples = len(seq.frames) * seq.width * seq.height
-    mse = tuple(float(s) / samples for s in sse)
-    return CellResult(mode, base_qp, int(total_bits),
-                      tuple(int(b) for b in channel_bits), mse,
-                      tuple(mse_to_psnr(m, seq.bit_depth) for m in mse),
-                      ssim_sum / len(seq.frames), frame_bits, qp_maps)
+    """Code a whole sequence in one mode at one base QP: run()'s
+    frame-major loop over this one cell."""
+    return _run_cells(seq, grid, [(mode, base_qp)], cfg, fields)[0]
 
 
 @dataclass
@@ -329,10 +370,14 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     The uniform anchor always runs (it is the reference every percentage
     column is computed against) even when absent from cfg.modes. Writes
     report files to cfg.out_dir, if set, which is created before any
-    input is read. A cell holds one reconstruction at a time, the
-    reference of its next frame. All cells share one store of motion
-    fields, so a search repeated across cells (every open-loop search, and
-    closed-loop ones whose reconstructions agree) runs once.
+    input is read. The cells are coded frame-major, and cells whose QP
+    arrays agree on frames 0..n share one encode and one SSIM of frame n.
+    The run holds its input, the reconstructions of the previous frame
+    (one per distinct chain of QP arrays, at most one per cell) and those
+    of the frame being coded; none is kept once run returns. All cells
+    share one store of motion fields, so a search repeated across cells
+    (every open-loop search, and closed-loop ones whose reconstructions
+    agree) runs once.
     """
     cfg.validate()
     if cfg.out_dir is not None:
@@ -352,14 +397,10 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
         "activity_scale": DEFAULT_SCALE, "intra_deadzone": INTRA_DEADZONE,
         "inter_deadzone": INTER_DEADZONE, "channel_qp_offsets": (0, 0, 0)}
     report = ExperimentReport(label, echo)
-    fields = {}
-    for qp in cfg.qps:
-        anchor = run_cell(seq, grid, ANCHOR_MODE, qp, cfg, fields)
-        for mode in modes:
-            cell = anchor if mode == ANCHOR_MODE else run_cell(
-                seq, grid, mode, qp, cfg, fields)
-            cell.set_deltas(anchor)
-            report.cells[(mode, qp)] = cell
+    cells = [(mode, qp) for qp in cfg.qps for mode in modes]
+    report.cells = dict(zip(cells, _run_cells(seq, grid, cells, cfg, {})))
+    for (mode, qp), cell in report.cells.items():
+        cell.set_deltas(report.cells[ANCHOR_MODE, qp])
     if cfg.out_dir is not None:
         emit(report, cfg.out_dir)
     return report

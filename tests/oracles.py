@@ -5,6 +5,9 @@ equations. The array paths in spaqlab.spatial_activity and
 spaqlab.qp_model must reproduce them entry for entry; encode_frame_by_cb
 codes one CB at a time in raster order, and spaqlab.codec_sim's
 anti-diagonal stacks must give its bits and reconstruction exactly.
+run_cell_alone codes one whole cell after another, and
+spaqlab.experiment.run's frame-major loop, which shares the coding of
+equal QP chains, must give every cell's figures and QP maps exactly.
 """
 
 import numpy as np
@@ -16,14 +19,18 @@ from spaqlab.codec_sim import (
     bit_cost,
     dct2,
     dequantize,
+    encode_frame,
     idct2,
     quantize,
 )
-from spaqlab.motion_model import MotionField
+from spaqlab.experiment import ANCHOR_MODE, CellResult
+from spaqlab.motion_model import MotionField, estimate_motion_field
 from spaqlab.partitioner import BlockGrid, BlockRef, pad_plane
-from spaqlab.qp_model import MEAN_OFFSET, QP_MAX, QP_MIN, spatial_offset
-from spaqlab.spatial_activity import DEFAULT_SCALE
-from spaqlab.video_io import Frame
+from spaqlab.qp_model import (MEAN_OFFSET, QP_MAX, QP_MIN, build_qp_map,
+                              spatial_offset, uniform_qp_map)
+from spaqlab.quality_metrics import mse_to_psnr, ssim_global
+from spaqlab.spatial_activity import DEFAULT_SCALE, compute_activity_map
+from spaqlab.video_io import G, Frame
 
 
 def sub_blocks(b: BlockRef):
@@ -146,3 +153,62 @@ def encode_frame_by_cb(frame: Frame, ref: Frame | None, qp_map,
     recon_frame = Frame(frame.width, frame.height, frame.bit_depth, cropped)
     return EncodedFrame(recon_frame, int(channel_bits.sum()),
                         tuple(channel_bits.tolist()), tuple(sse.tolist()))
+
+
+def run_cell_alone(seq, grid, mode: str, base_qp: int, cfg) -> CellResult:
+    """spaqlab.experiment.run_cell, one cell alone and frame after frame,
+    with nothing shared with any other cell."""
+    use_spatial = mode in ("spaq", "spatial-only")
+    use_temporal = mode in ("spaq", "temporal-only")
+
+    recon_prev = None
+    prev_mean_mag = None
+    total_bits = 0
+    channel_bits = np.zeros(3, dtype=np.int64)
+    frame_bits = []
+    sse = np.zeros(3, dtype=np.int64)
+    ssim_sum = 0.0
+    qp_maps = []
+
+    for n, frame in enumerate(seq.frames):
+        if recon_prev is None:
+            fld = None
+        else:
+            me_ref = seq.frames[n - 1] if cfg.open_loop_me else recon_prev
+            fld = estimate_motion_field(
+                pad_plane(frame.planes[G], grid),
+                pad_plane(me_ref.planes[G], grid),
+                grid, cfg.search_range,
+            )
+        if mode == ANCHOR_MODE:
+            qmap = uniform_qp_map(base_qp, grid.n_blocks)
+        else:
+            act = compute_activity_map(frame, grid).a if use_spatial else None
+            if use_temporal and fld is not None:
+                mags = fld.magnitudes
+                if cfg.v_source == "previous" and prev_mean_mag is not None:
+                    vmean = prev_mean_mag
+                else:
+                    vmean = fld.mean_magnitude
+            else:
+                mags, vmean = None, 0.0
+            qmap = build_qp_map(base_qp, grid.n_blocks, activity=act,
+                                magnitudes=mags, mean_magnitude=vmean,
+                                scope=cfg.clamp_scope)
+        enc = encode_frame(frame, recon_prev, qmap, grid, fld)
+        total_bits += enc.bits
+        channel_bits += np.asarray(enc.channel_bits)
+        frame_bits.append(enc.bits)
+        sse += np.asarray(enc.sse)
+        ssim_sum += ssim_global(frame, enc.recon)
+        qp_maps.append(qmap)
+        recon_prev = enc.recon
+        if fld is not None:
+            prev_mean_mag = fld.mean_magnitude
+
+    samples = len(seq.frames) * seq.width * seq.height
+    mse = tuple(float(s) / samples for s in sse)
+    return CellResult(mode, base_qp, int(total_bits),
+                      tuple(int(b) for b in channel_bits), mse,
+                      tuple(mse_to_psnr(m, seq.bit_depth) for m in mse),
+                      ssim_sum / len(seq.frames), frame_bits, qp_maps)

@@ -326,6 +326,18 @@ def check_encoded(frame, enc):
     assert enc.bits == sum(enc.channel_bits)
 
 
+@pytest.mark.parametrize("bit_depth", [8, 10, 12])
+def test_sse_exact_on_full_range_noise(bit_depth):
+    # the largest residuals the codec leaves, in a padded frame: the SSE
+    # squares them in int32 and must equal the int64 expression
+    rng = np.random.default_rng(bit_depth)
+    frame = Frame(72, 40, bit_depth, rng.integers(
+        0, 1 << bit_depth, (3, 40, 72), dtype=np.int32))
+    grid = build_grid(72, 40, 0)
+    check_encoded(frame, encode_frame(
+        frame, None, uniform_qp_map(51, grid.n_blocks), grid))
+
+
 @settings(deadline=None, max_examples=40)
 @given(coding_cases())
 def test_encode_frame_invariants_property(case):

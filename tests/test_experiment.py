@@ -8,7 +8,10 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import run_cell_alone
 from spaqlab import experiment
 from spaqlab.cli import build_parser, config_from_args, main
 from spaqlab.experiment import (
@@ -23,10 +26,11 @@ from spaqlab.experiment import (
     run_cell,
 )
 from spaqlab.motion_model import estimate_motion_field
-from spaqlab.partitioner import build_grid, pad_plane
-from spaqlab.qp_model import qp_to_qstep
+from spaqlab.partitioner import CB_SIZE_BY_DEPTH, build_grid, pad_plane
+from spaqlab.qp_model import CLAMP_SCOPES, QP_MAX, QP_MIN, qp_to_qstep
 from spaqlab.spatial_activity import compute_activity_map
-from spaqlab.video_io import G, RawFormatError, Sequence, write_raw
+from spaqlab.video_io import (G, SUPPORTED_BIT_DEPTHS, RawFormatError,
+                              Sequence, write_raw)
 
 
 def small_cfg(**kw):
@@ -357,21 +361,94 @@ def test_row_order_follows_modes(tmp_path):
     assert [(r["mode"], r["qp"]) for r in records] == expected
 
 
-def test_run_holds_one_reconstruction_per_cell(monkeypatch):
-    # at each encode_frame call, count the earlier reconstructions still
-    # alive: a closed-loop cell needs only its reference, none are kept
-    refs, alive = [], []
-    real_encode_frame = experiment.encode_frame
+def test_run_holds_reconstructions_of_one_frame_back(monkeypatch):
+    # when frame n is coded, no reconstruction of a frame before n - 1 is
+    # alive, and none is once run() returns
+    seqs, refs, stale = [], [], []
+    real_load, real_encode_frame = (experiment.load_sequence,
+                                    experiment.encode_frame)
+    monkeypatch.setattr(experiment, "load_sequence",
+                        lambda cfg: seqs.append(real_load(cfg)) or seqs[-1])
 
-    def encode_frame(*args):
-        alive.append(sum(r() is not None for r in refs))
-        enc = real_encode_frame(*args)
-        refs.append(weakref.ref(enc.recon))
+    def encode_frame(frame, *args):
+        n = [f is frame for f in seqs[0].frames].index(True)
+        stale.extend(m for m, r in refs if m < n - 1 and r() is not None)
+        enc = real_encode_frame(frame, *args)
+        refs.append((n, weakref.ref(enc.recon)))
         return enc
 
     monkeypatch.setattr(experiment, "encode_frame", encode_frame)
-    run(small_cfg(frames=6, qps=(22,)))
-    assert alive == [0, 1, 1, 1, 1, 1] * 2
+    run(small_cfg(frames=6, qps=(22, 27), modes=experiment.MODES))
+    assert {n for n, _ in refs} == set(range(6))
+    assert stale == []
+    assert all(r() is None for _, r in refs)
+
+
+@st.composite
+def run_configs(draw):
+    kind = draw(st.sampled_from(experiment.SYNTHETIC_KINDS))
+    low = 64 if kind == "moving-texture" else 8
+    first_qp = draw(st.integers(QP_MIN, QP_MAX))
+    return ExperimentConfig(
+        synthetic=kind, width=draw(st.integers(low, 80)),
+        height=draw(st.integers(low, 80)),
+        bit_depth=draw(st.sampled_from(SUPPORTED_BIT_DEPTHS)),
+        frames=draw(st.integers(1, 4)),
+        qps=tuple(range(first_qp, min(first_qp + draw(st.integers(1, 3)),
+                                      QP_MAX + 1))),
+        modes=tuple(draw(st.permutations(experiment.MODES))
+                    [:draw(st.integers(1, 4))]),
+        cb_depth=draw(st.sampled_from(sorted(CB_SIZE_BY_DEPTH))),
+        search_range=draw(st.integers(0, 4)),
+        clamp_scope=draw(st.sampled_from(CLAMP_SCOPES)),
+        open_loop_me=draw(st.booleans()),
+        v_source=draw(st.sampled_from(experiment.V_SOURCES)),
+        seed=draw(st.integers(0, 3)),
+        shift=(draw(st.integers(-4, 4)), draw(st.integers(-4, 4))))
+
+
+@settings(deadline=None, max_examples=30)
+@given(run_configs())
+def test_run_matches_coding_each_cell_alone(cfg):
+    # frame-major coding with shared QP chains, in run() and in run_cell,
+    # gives every cell exactly what coding it alone gives
+    def assert_same_cell(got, want):
+        assert (got.bits, got.channel_bits, got.frame_bits, got.mse,
+                got.psnr_db, got.ssim) == (
+            want.bits, want.channel_bits, want.frame_bits, want.mse,
+            want.psnr_db, want.ssim)
+        assert len(got.qp_maps) == len(want.qp_maps)
+        for a, b in zip(got.qp_maps, want.qp_maps):
+            assert a.base_qp == b.base_qp
+            for name in ("raw", "t", "delta", "qp", "qstep"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+    report = run(cfg)
+    seq = experiment.load_sequence(cfg)
+    grid = build_grid(cfg.width, cfg.height, cfg.cb_depth)
+    for (mode, qp), got in report.cells.items():
+        assert_same_cell(got, run_cell_alone(seq, grid, mode, qp, cfg))
+    mode, qp = cfg.modes[-1], cfg.qps[-1]
+    assert_same_cell(run_cell(seq, grid, mode, qp, cfg),
+                     report.cells[mode, qp])
+
+
+def test_run_codes_each_distinct_qp_chain_once(monkeypatch):
+    calls = []
+    real_encode_frame = experiment.encode_frame
+    monkeypatch.setattr(experiment, "encode_frame",
+                        lambda *a: calls.append(a) or real_encode_frame(*a))
+    cfg = small_cfg(frames=4, qps=(22, 27, 50, 51), modes=experiment.MODES)
+    report = run(cfg)
+    cells = report.cells.values()
+    prefixes = {tuple(m.qp.tobytes() for m in cell.qp_maps[: n + 1])
+                for cell in cells for n in range(cfg.frames)}
+    assert len(calls) == len(prefixes) < len(cells) * cfg.frames
+    # some cells code one QP array in a frame after differing before it,
+    # so the arrays alone would undercount the codings
+    assert len({(n, m.qp.tobytes()) for cell in cells
+                for n, m in enumerate(cell.qp_maps)}) < len(prefixes)
 
 
 def test_config_validation():
@@ -748,9 +825,9 @@ def test_cli_directory_input_rejected(tmp_path, capsys):
 
 def test_cli_unwritable_out_fails_before_coding(tmp_path, monkeypatch, capsys):
     calls = []
-    real_run_cell = experiment.run_cell
-    monkeypatch.setattr(experiment, "run_cell",
-                        lambda *a: calls.append(a) or real_run_cell(*a))
+    real_encode_frame = experiment.encode_frame
+    monkeypatch.setattr(experiment, "encode_frame",
+                        lambda *a: calls.append(a) or real_encode_frame(*a))
     blocker = tmp_path / "file"
     blocker.write_text("")
     code = main([
