@@ -30,7 +30,8 @@ from .codec_sim import INTER_DEADZONE, INTRA_DEADZONE, encode_frame
 from .motion_model import DEFAULT_SEARCH_RANGE, estimate_motion_field
 from .partitioner import CB_SIZE_BY_DEPTH, build_grid, pad_plane
 from .qp_model import CLAMP_SCOPES, QP_MAX, QP_MIN, build_qp_map, uniform_qp_map
-from .quality_metrics import SSIM_WINDOW, mse_to_psnr, pct_delta, ssim_global
+from .quality_metrics import (SSIM_WINDOW, mse_to_psnr, pct_delta, ssim_global,
+                              ssim_sums)
 from .spatial_activity import DEFAULT_SCALE, compute_activity_map
 from .video_io import (CHANNELS, G, SUPPORTED_BIT_DEPTHS, Frame, Sequence,
                        check_ints, is_int, load_raw)
@@ -280,12 +281,11 @@ class _Chain:
                             magnitudes=mags, mean_magnitude=vmean,
                             scope=cfg.clamp_scope)
 
-    def add(self, enc, ssim: float, qmap, fld) -> None:
+    def add(self, enc, qmap, fld) -> None:
         self.ref = enc.recon
         self.channel_bits += enc.channel_bits
         self.frame_bits.append(enc.bits)
         self.sse += enc.sse
-        self.ssim_sum += ssim
         self.qp_maps.append(qmap)
         if fld is not None:
             self.prev_mean_mag = fld.mean_magnitude
@@ -322,8 +322,8 @@ def _run_cells(seq: Sequence, grid, cells, cfg: ExperimentConfig,
     for frame in seq.frames:
         src = pad_plane(frame.planes[G], grid)
         act = compute_activity_map(frame, grid).a if spatial else None
-        # (index, EncodedFrame, SSIM) of this frame's codings, keyed by the
-        # index of the coding they predict from and their QP array
+        # (index, EncodedFrame) of this frame's codings, keyed by the index
+        # of the coding they predict from and their QP array
         store = {}
         for ch in chains:
             fld = None if ch.ref is None else estimate_motion_field(
@@ -333,10 +333,18 @@ def _run_cells(seq: Sequence, grid, cells, cfg: ExperimentConfig,
             qmap = ch.qp_map(act, fld, grid.n_blocks, cfg)
             key = (ch.key, qmap.qp.tobytes())
             if key not in store:
-                enc = encode_frame(frame, ch.ref, qmap, grid, fld)
-                store[key] = len(store), enc, ssim_global(frame, enc.recon)
-            ch.key, enc, ssim = store[key]
-            ch.add(enc, ssim, qmap, fld)
+                store[key] = len(store), encode_frame(frame, ch.ref, qmap,
+                                                      grid, fld)
+            ch.key, enc = store[key]
+            ch.add(enc, qmap, fld)
+        # scored once every coding is made, so the source's SSIM sums are
+        # never held during an encode
+        sums = ssim_sums(frame)
+        scores = [ssim_global(frame, enc.recon, sums)
+                  for _, enc in store.values()]
+        del sums
+        for ch in chains:
+            ch.ssim_sum += scores[ch.key]
         src_prev = src
     return [ch.result(seq) for ch in chains]
 

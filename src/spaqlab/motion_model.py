@@ -66,11 +66,11 @@ def _quadrant_bounds(cur, ref, ys, xs, n: int, search_range: int) -> np.ndarray:
     per plane gives every quadrant sum: at most 32 * 32 * 4095, so exact.
     """
     half, side = n // 2, 2 * search_range + 1
-    integral = np.zeros(np.add(ref.shape, 1), dtype=np.int32)
-    cur_boxes = window_sums(cur, half, integral)
+    buf = np.empty(ref.shape, dtype=np.int32)
     # ref's box sums, zero-bordered so every block's candidates index inside
     cands = sliding_window_view(
-        np.pad(window_sums(ref, half, integral), search_range), (side, side))
+        np.pad(window_sums(ref, half, buf), search_range), (side, side))
+    cur_boxes = window_sums(cur, half, buf)
     bound = np.zeros((len(ys), side, side), dtype=np.int32)
     for y0 in (ys, ys + half):
         for x0 in (xs, xs + half):
@@ -102,10 +102,12 @@ def block_match(cur: np.ndarray, ref: np.ndarray, pus,
         raise ValueError("search range must be >= 0")
     if len({pu.size for pu in pus}) != 1:
         raise ValueError("a PU group needs one or more PUs, all of one size")
-    (h, w), n, r = ref.shape, pus[0].size, search_range
+    (h, w), n = ref.shape, pus[0].size
     for pu in pus:
         if not (0 <= pu.x <= w - n and 0 <= pu.y <= h - n):
             raise ValueError(f"PU at ({pu.x}, {pu.y}) leaves the {w}x{h} plane")
+    # no displacement longer than this keeps a block in the plane
+    r = min(search_range, max(h, w) - n)
     yx = np.array([(pu.y, pu.x) for pu in pus])
     # the cut ends r past every PU or at the plane's edge, so it clips alike
     lo, hi = np.maximum(yx.min(0) - r, 0), np.minimum(yx.max(0) + n + r, (h, w))
@@ -160,7 +162,8 @@ def estimate_motion_field(cur: np.ndarray, ref: np.ndarray, grid: BlockGrid,
         key = digest.digest()
         if key in fields:
             return fields[key]
-    per, pus = max(1, 2**20 // (2 * search_range + 1) ** 2), grid.blocks
+    r = min(search_range, max(cur.shape) - grid.cb_size)  # as block_match
+    per, pus = max(1, 2**20 // (2 * r + 1) ** 2), grid.blocks
     field = motion_field([mv for i in range(0, len(pus), per) for mv in
                           block_match(cur, ref, pus[i: i + per], search_range)])
     if fields is not None:

@@ -88,17 +88,28 @@ def pad_plane(plane: np.ndarray, grid: BlockGrid) -> np.ndarray:
     return np.pad(plane, lead + ((0, ph - h), (0, pw - w)), mode="edge")
 
 
-def window_sums(x: np.ndarray, k: int, integral: np.ndarray, out=None):
-    """int32 sum of the 2-D x over every k x k window (stride 1).
+def window_sums(x: np.ndarray, k: int, buf: np.ndarray) -> np.ndarray:
+    """int32 sum of the 2-D x over every k x k window (stride 1), k a power
+    of two, as a view into buf: an int32 array at least x's shape, which
+    may be x itself.
 
-    integral is a zero-bordered (H + 1, W + 1) int32 buffer that takes x's
-    running sums. They may wrap, but the four-corner difference (Crow 1984)
-    is exact modulo 2**32, so every window sum that fits in int32 is exact.
+    The sums double along each axis in turn: two sums of w rows, w rows
+    apart, make a sum of 2w rows, so log2(k) adds per axis give every
+    window. For x >= 0 each partial sum is at most a window sum, so when
+    every window sum fits in int32, nothing wraps.
     """
-    inner = integral[1:, 1:]
-    np.cumsum(x, axis=0, dtype=np.int32, out=inner)
-    np.cumsum(inner, axis=1, out=inner)
-    out = np.subtract(integral[k:, k:], integral[:-k, k:], out=out)
-    out -= integral[k:, :-k]
-    out += integral[:-k, :-k]
-    return out
+    if k < 1 or k & (k - 1):
+        raise ValueError(f"window side must be a power of two, got {k}")
+    sides = [1 << i for i in range(k.bit_length() - 1)]  # 1, 2, ..., k / 2
+    (h, w), s = x.shape, x
+    for side in sides:
+        h -= side
+        s = np.add(s[:h], s[side: side + h], dtype=np.int32, out=buf[:h, :w])
+    for side in sides:
+        w -= side
+        s = np.add(s[:, :w], s[:, side: side + w], dtype=np.int32,
+                   out=buf[:h, :w])
+    if s is x:  # k == 1
+        s = buf[:h, :w]
+        s[...] = x
+    return s

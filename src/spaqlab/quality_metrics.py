@@ -3,9 +3,12 @@ percentage deltas against an anchor.
 
 SSIM uses an 8x8 uniform sliding window (stride 1) with the standard
 stabilizers C1 = (0.01*peak)^2 and C2 = (0.03*peak)^2; the global score
-of a frame is the mean of its three channel scores. Window sums come
-from wrapping int32 integral images (window_sums), exact since each is
-at most 64 * 4095^2 < 2^31 at 12 bits, so scores are exact and symmetric.
+of a frame is the mean of its three channel scores. Window sums are exact
+int32 sums by doubling (window_sums): each is at most
+64 * 4095^2 < 2^31 at 12 bits, so scores are exact and symmetric. The
+source's sums (ssim_sums) can be taken once per frame and shared by every
+coding scored against it. The float stage runs in strips of at most
+SSIM_STRIP window rows, so its buffers do not grow with the frame height.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ from .video_io import Frame
 
 PSNR_CAP_DB = 99.99
 SSIM_WINDOW = 8
+# window rows per float-stage strip: the fastest of 32, 64, 128, 256 and
+# whole-plane rows at both 960x540 and 128x128
+SSIM_STRIP = 128
 
 
 def mse_to_psnr(mse: float, bit_depth: int) -> float:
@@ -28,75 +34,102 @@ def mse_to_psnr(mse: float, bit_depth: int) -> float:
     return min(10.0 * math.log10(peak * peak / mse), PSNR_CAP_DB)
 
 
+def _plane_sums(plane: np.ndarray) -> tuple:
+    """int32 window sums of plane and of its square."""
+    square = np.multiply(plane, plane, dtype=np.int32)
+    return (window_sums(plane, SSIM_WINDOW, np.empty(plane.shape, np.int32)),
+            window_sums(square, SSIM_WINDOW, square))
+
+
+def ssim_sums(frame: Frame) -> list:
+    """Per channel, the int32 window sums of a and of a * a: all that
+    ssim_global(frame, test, sums) reads of its ref beyond the samples."""
+    return [_plane_sums(plane) for plane in frame.planes]
+
+
 def ssim_plane(ref_plane: np.ndarray, test_plane: np.ndarray,
-               bit_depth: int) -> float:
-    """Mean SSIM of one channel over all window positions."""
+               bit_depth: int, sums: tuple | None = None) -> float:
+    """Mean SSIM of one channel over all window positions.
+
+    sums is ref_plane's entry of ssim_sums, computed here when not given.
+    """
     if ref_plane.shape != test_plane.shape:
         raise ValueError("planes must share dimensions")
     h, w = ref_plane.shape
     if h < SSIM_WINDOW or w < SSIM_WINDOW:
         raise ValueError(f"plane {h}x{w} is smaller than the "
                          f"{SSIM_WINDOW}x{SSIM_WINDOW} window")
+    sum_a, sum_aa = _plane_sums(ref_plane) if sums is None else sums
     peak = (1 << bit_depth) - 1
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
     win = SSIM_WINDOW
     n = win * win
+    rows = h - win + 1
+    strip = min(SSIM_STRIP, rows)
 
-    # One integral image, one window-sum and one product buffer serve all
-    # five statistics, and the float stage works in place: fresh full-plane
+    # One window-sum and one product buffer serve the test statistics, and
+    # the float stage works in place on five strip buffers: fresh
     # temporaries per call cost a page fault per 4 KiB at 960x540.
-    integral = np.zeros((h + 1, w + 1), dtype=np.int32)
-    sums = np.empty((h - win + 1, w - win + 1), dtype=np.int32)
-    prod = np.empty((h, w), dtype=np.int32)
+    buf = np.empty((strip + win - 1, w), dtype=np.int32)
+    prod = np.empty_like(buf)
+    floats = np.empty((5, strip, w - win + 1))
+    ssim_map = np.empty((rows, w - win + 1))
 
-    def window_mean(x, out=None):
-        return np.divide(window_sums(x, win, integral, sums), n, out=out)
+    def window_mean(x, out):
+        return np.divide(window_sums(x, win, buf), n, out=out)
 
     def product(x, y):
-        return np.multiply(x, y, dtype=np.int32, out=prod)
+        return np.multiply(x, y, dtype=np.int32, out=prod[: len(x)])
 
-    mu_a = window_mean(ref_plane)
-    mu_b = window_mean(test_plane)
-    mu_ab = mu_a * mu_b
-    mu_aa = np.multiply(mu_a, mu_a, out=mu_a)
-    mu_bb = np.multiply(mu_b, mu_b, out=mu_b)
-    var_a = window_mean(product(ref_plane, ref_plane))
-    var_a -= mu_aa
-    var_b = window_mean(product(test_plane, test_plane))
-    var_b -= mu_bb
-    # the SSIM map is ((2*mu_ab + c1) * (2*cov + c2)) /
-    # ((mu_aa + mu_bb + c1) * (var_a + var_b + c2)), in that order
-    den = var_a
-    den += var_b
-    den += c2
-    cov = window_mean(product(ref_plane, test_plane), out=var_b)
-    cov -= mu_ab
-    cov *= 2.0
-    cov += c2
-    num = mu_ab
-    num *= 2.0
-    num += c1
-    num *= cov
-    mu_aa += mu_bb
-    mu_aa += c1
-    mu_aa *= den
-    num /= mu_aa
-    return float(num.mean())
+    for r0 in range(0, rows, strip):
+        r1 = min(r0 + strip, rows)
+        a, b = ref_plane[r0: r1 + win - 1], test_plane[r0: r1 + win - 1]
+        f0, f1, f2, f3, f4 = floats[:, : r1 - r0]
+        mu_a = np.divide(sum_a[r0: r1], n, out=f0)
+        mu_b = window_mean(b, f1)
+        mu_ab = np.multiply(mu_a, mu_b, out=f2)
+        mu_aa = np.multiply(mu_a, mu_a, out=mu_a)
+        mu_bb = np.multiply(mu_b, mu_b, out=mu_b)
+        var_a = np.divide(sum_aa[r0: r1], n, out=f3)
+        var_a -= mu_aa
+        var_b = window_mean(product(b, b), f4)
+        var_b -= mu_bb
+        # the SSIM map is ((2*mu_ab + c1) * (2*cov + c2)) /
+        # ((mu_aa + mu_bb + c1) * (var_a + var_b + c2)), in that order
+        den = var_a
+        den += var_b
+        den += c2
+        cov = window_mean(product(a, b), var_b)
+        cov -= mu_ab
+        cov *= 2.0
+        cov += c2
+        num = mu_ab
+        num *= 2.0
+        num += c1
+        num *= cov
+        mu_aa += mu_bb
+        mu_aa += c1
+        mu_aa *= den
+        np.divide(num, mu_aa, out=ssim_map[r0: r1])
+    # one mean over the whole map keeps the pairwise summation order
+    return float(ssim_map.mean())
 
 
-def ssim_global(ref: Frame, test: Frame) -> float:
-    """Global GBR score: mean of the three channel SSIMs."""
+def ssim_global(ref: Frame, test: Frame, sums: list | None = None) -> float:
+    """Global GBR score: mean of the three channel SSIMs.
+
+    sums is ssim_sums(ref); when not given, each channel computes its own
+    in turn, so only one channel's are held at a time.
+    """
     if (ref.width, ref.height, ref.bit_depth) != (
         test.width,
         test.height,
         test.bit_depth,
     ):
         raise ValueError("frames must share dimensions and bit depth")
-    # one channel at a time: each call holds full-plane int32 integral,
-    # product and window-sum buffers, so three at once would triple them
-    return sum(ssim_plane(a, b, ref.bit_depth)
-               for a, b in zip(ref.planes, test.planes)) / 3.0
+    return sum(ssim_plane(a, b, ref.bit_depth, s) for a, b, s in
+               zip(ref.planes, test.planes, sums or [None] * 3)) / 3.0
 
 
 def pct_delta(anchor: float, test: float):

@@ -1,9 +1,12 @@
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import os
 import re
 import shutil
+import tempfile
 import weakref
 
 import numpy as np
@@ -451,6 +454,47 @@ def test_run_codes_each_distinct_qp_chain_once(monkeypatch):
                 for n, m in enumerate(cell.qp_maps)}) < len(prefixes)
 
 
+def test_run_scores_each_frame_once_its_codings_are_made(monkeypatch):
+    # per frame: every encode_frame, then one ssim_sums, then one
+    # ssim_global per distinct coding, given those sums; no frame's sums
+    # are alive during an encode
+    events, alive = [], []
+    real = {name: getattr(experiment, name)
+            for name in ("encode_frame", "ssim_sums", "ssim_global")}
+
+    def encode_frame(frame, *args):
+        assert all(ref() is None for ref in alive)
+        events.append(("e", id(frame), None))
+        return real["encode_frame"](frame, *args)
+
+    def ssim_sums(frame):
+        sums = real["ssim_sums"](frame)
+        alive.append(weakref.ref(sums[0][0]))
+        events.append(("s", id(frame), id(sums)))
+        return sums
+
+    def ssim_global(ref, test, sums):
+        events.append(("g", id(ref), id(sums)))
+        return real["ssim_global"](ref, test, sums)
+
+    for name, fake in (("encode_frame", encode_frame),
+                       ("ssim_sums", ssim_sums), ("ssim_global", ssim_global)):
+        monkeypatch.setattr(experiment, name, fake)
+    cfg = small_cfg(frames=4, qps=(22, 27, 50, 51), modes=experiment.MODES)
+    run(cfg)
+    frames = list(dict.fromkeys(frame for _, frame, _ in events))
+    assert len(frames) == cfg.frames
+    for frame in frames:
+        mine = [e for e in events if e[1] == frame]
+        kinds = "".join(kind for kind, _, _ in mine)
+        assert re.fullmatch(r"(e+)s(g+)", kinds)
+        assert kinds.count("e") == kinds.count("g")
+        assert len({sums for kind, _, sums in mine if kind != "e"}) == 1
+    # frame-major: each frame's events are contiguous
+    assert [frame for _, frame, _ in events] == sorted(
+        (frame for _, frame, _ in events), key=frames.index)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match=r"^QP 60 is not an integer in \[0, 51\]$"):
         small_cfg(qps=(60,)).validate()
@@ -839,6 +883,85 @@ def test_cli_unwritable_out_fails_before_coding(tmp_path, monkeypatch, capsys):
     assert calls == []
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("spaqlab: error:")
+
+
+CLI_PATHS = ("clip.rgb", "empty.rgb", "missing.rgb", "out", "blocker/out")
+
+
+@st.composite
+def cli_argvs(draw):
+    """argv from the CLI's flag grammar with valid and invalid values, in
+    any flag order; sizes, frame counts and search ranges stay small. Paths
+    are names from CLI_PATHS, under a directory the test makes."""
+    def one(*values):
+        return draw(st.sampled_from(values))
+
+    def value(good, *bad):
+        # few values are bad, so that many argvs get as far as a run
+        return one(*bad) if draw(st.integers(0, 15)) == 0 else str(draw(good))
+
+    size = st.one_of(st.just(16), st.integers(8, 72))
+    groups = [["--width", value(size, "-1", "4", "x", "")],
+              ["--height", value(size, "0", "7", "8.0")],
+              ["--frames", value(st.integers(1, 3), "0", "-1", "x")]]
+    groups += [["--qp", value(st.integers(0, 51), "-1", "52", "q")]
+               for _ in range(draw(st.integers(1, 2)))]
+    source = value(st.sampled_from(("synthetic", "input")), "both", "neither")
+    if source in ("synthetic", "both"):
+        groups.append(["--synthetic", value(
+            st.sampled_from(experiment.SYNTHETIC_KINDS), "lava")])
+    if source in ("input", "both"):
+        groups.append(["--input", value(st.just("clip.rgb"), "empty.rgb",
+                                        "missing.rgb")])
+    optional = [
+        ["--bit-depth", value(st.sampled_from((8, 10, 12)), "9")],
+        ["--cb-depth", value(st.sampled_from(sorted(CB_SIZE_BY_DEPTH)), "3")],
+        ["--search-range", value(st.integers(0, 40), "-1", "r")],
+        ["--clamp-scope", value(st.sampled_from(CLAMP_SCOPES), "all")],
+        ["--open-loop-me"],
+        ["--v-source", value(st.sampled_from(experiment.V_SOURCES), "next")],
+        ["--seed", value(st.integers(0, 3), "-1")],
+        ["--shift" + value(st.sampled_from(("=-2,5", "=1,2", " 3,4")),
+                           "=1,x", "=1,2,3", " -2,5")],
+    ] + [["--mode", value(st.sampled_from(experiment.MODES), "fast")]
+         for _ in range(2)]
+    groups += [g for g in optional if draw(st.booleans())]
+    out = value(st.just("out"), "blocker/out", "")
+    groups += [["--out", out]] if out else []
+    return [token for g in draw(st.permutations(groups))
+            for token in " ".join(g).split(" ")]
+
+
+@settings(deadline=None, max_examples=60)
+@given(cli_argvs())
+def test_cli_failure_contract_property(argv):
+    # exit 0, 1 or 2; a failure prints one "spaqlab: error:" line and no
+    # traceback; exit 2 leaves --out uncreated; exit 0 writes report.csv
+    with tempfile.TemporaryDirectory() as tmp:
+        write_raw(gen_synthetic("gradient", 16, 16, 3, 8),
+                  os.path.join(tmp, "clip.rgb"))
+        open(os.path.join(tmp, "empty.rgb"), "w").close()
+        open(os.path.join(tmp, "blocker"), "w").close()
+        argv = [os.path.join(tmp, a) if a in CLI_PATHS else a for a in argv]
+        out = argv[argv.index("--out") + 1] if "--out" in argv else None
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # usage errors exit through argparse
+                code = exc.code
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert os.path.isfile(os.path.join(out, "report.csv"))
+        else:
+            assert "Traceback" not in err
+            lines = err.splitlines()
+            assert lines[-1].startswith("spaqlab: error:")
+            assert sum(ln.startswith("spaqlab: error:") for ln in lines) == 1
+        if code == 2 and out is not None:
+            assert not os.path.exists(out)
 
 
 def test_cli_short_raw_file_rejected(tmp_path, capsys):

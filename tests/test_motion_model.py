@@ -281,6 +281,21 @@ def test_field_matches_exhaustive_oracle_property(planes, search_range):
         ]
 
 
+@settings(deadline=None, max_examples=40)
+@given(padded_plane_pairs(), st.integers(1, 40))
+def test_search_range_past_the_plane_changes_nothing_property(planes, extra):
+    # no displacement past max(h, w) - n keeps a block in the plane, so a
+    # longer range gives the same vectors and its work stops growing there
+    cur, ref, grid = planes
+    r = max(cur.shape) - grid.cb_size
+    want = estimate_motion_field(cur, ref, grid, r).vectors.tolist()
+    with mock.patch.object(motion_model, "_quadrant_bounds",
+                           wraps=motion_model._quadrant_bounds) as bounds:
+        got = estimate_motion_field(cur, ref, grid, r + extra).vectors.tolist()
+    assert got == want
+    assert {call.args[5] for call in bounds.call_args_list} == {r}
+
+
 def candidates(cur, ref, pu, search_range):
     """{(dy, dx): (quadrant bound, SAD)} of every in-plane candidate, in
     raster order, each from np.sum over slices of the two planes."""

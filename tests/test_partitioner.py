@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from oracles import sub_blocks
-from spaqlab.partitioner import CB_SIZE_BY_DEPTH, BlockRef, build_grid, pad_plane
+from spaqlab.partitioner import (CB_SIZE_BY_DEPTH, BlockRef, build_grid,
+                                 pad_plane, window_sums)
 
 
 def test_depth0_single_block():
@@ -101,3 +105,31 @@ def test_pad_plane_replicates_edges():
     # no copy when already aligned
     aligned = np.zeros((64, 96), dtype=np.int32)
     assert pad_plane(aligned, grid) is aligned
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from((1, 2, 4, 8, 16, 32)), st.sampled_from((np.int16, np.int32)),
+       st.integers(0, 20), st.integers(0, 20), st.integers(0, 2), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@example(8, np.int32, 20, 20, 0, True, 0)
+def test_window_sums_match_direct_sums_property(k, dtype, dh, dw, pad,
+                                                near_max, seed):
+    rng = np.random.default_rng(seed)
+    h, w = k + dh, k + dw
+    lo = 4055 if near_max else 0
+    x = rng.integers(lo, 4096, (h, w)).astype(dtype)
+    if near_max and k == 8 and dtype is np.int32:
+        # 12-bit products: SSIM's largest window sums, up to 64 * 4095^2
+        x *= rng.integers(lo, 4096, (h, w)).astype(dtype)
+    want = sliding_window_view(x, (k, k)).sum(axis=(-2, -1), dtype=np.int64)
+    got = window_sums(x, k, np.empty((h + pad, w + pad), dtype=np.int32))
+    assert got.dtype == np.int32 and np.array_equal(got, want)
+    if dtype is np.int32:  # x as its own buffer
+        assert np.array_equal(window_sums(x, k, x), want)
+
+
+@pytest.mark.parametrize("k", [0, 3, 6, 12])
+def test_window_sums_reject_a_side_not_a_power_of_two(k):
+    x = np.zeros((16, 16), dtype=np.int32)
+    with pytest.raises(ValueError, match=f"power of two, got {k}$"):
+        window_sums(x, k, x)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -14,6 +14,7 @@ from spaqlab.quality_metrics import (
     pct_delta,
     ssim_global,
     ssim_plane,
+    ssim_sums,
 )
 from spaqlab.video_io import Frame
 
@@ -114,8 +115,11 @@ def test_ssim_matches_brute_force_oracle():
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(8, 64), st.integers(8, 64), st.sampled_from((8, 10, 12)),
+@given(st.integers(8, 300), st.integers(8, 64), st.sampled_from((8, 10, 12)),
        st.integers(0, 2**32 - 1), st.integers(0, 64))
+# 129 and 257 window rows: full strips and then a 1-row strip
+@example(136, 9, 10, 0, 5)
+@example(264, 8, 12, 1, 64)
 def test_ssim_plane_equals_integral_image_expression_property(
         h, w, depth, seed, spread):
     rng = np.random.default_rng(seed)
@@ -123,8 +127,11 @@ def test_ssim_plane_equals_integral_image_expression_property(
     ref = rng.integers(0, maxv + 1, (h, w)).astype(np.int32)
     noise = rng.integers(-spread, spread + 1, (h, w))
     test = np.clip(ref + noise, 0, maxv).astype(np.int32)
-    assert ssim_plane(ref, test, depth) == integral_image_ssim(ref, test, depth)
-    assert ssim_plane(test, ref, depth) == integral_image_ssim(test, ref, depth)
+    for a, b in ((ref, test), (test, ref)):
+        want = integral_image_ssim(a, b, depth)
+        sums = ssim_sums(Frame(w, h, depth, (a, a, a)))[0]
+        assert ssim_plane(a, b, depth) == want
+        assert ssim_plane(a, b, depth, sums) == want
 
 
 def near_max_pair(size, seed):
