@@ -22,8 +22,8 @@ from .video_io import Frame
 
 PSNR_CAP_DB = 99.99
 SSIM_WINDOW = 8
-# window rows per float-stage strip: the fastest of 32, 64, 128, 256 and
-# whole-plane rows at both 960x540 and 128x128
+# window rows per float-stage strip: of 32, 64, 128 and 256, 128 tied for
+# the fastest per coding at 960x540 and was the fastest at 128x128
 SSIM_STRIP = 128
 
 
@@ -68,16 +68,15 @@ def ssim_plane(ref_plane: np.ndarray, test_plane: np.ndarray,
     rows = h - win + 1
     strip = min(SSIM_STRIP, rows)
 
-    # One window-sum and one product buffer serve the test statistics, and
-    # the float stage works in place on five strip buffers: fresh
-    # temporaries per call cost a page fault per 4 KiB at 960x540.
-    buf = np.empty((strip + win - 1, w), dtype=np.int32)
-    prod = np.empty_like(buf)
-    floats = np.empty((5, strip, w - win + 1))
+    # One int32 buffer takes the test plane's products and window sums,
+    # and the float stage works in place on four strip buffers and the
+    # map: fresh temporaries per call cost a page fault per 4 KiB.
+    prod = np.empty((strip + win - 1, w), dtype=np.int32)
+    floats = np.empty((4, strip, w - win + 1))
     ssim_map = np.empty((rows, w - win + 1))
 
     def window_mean(x, out):
-        return np.divide(window_sums(x, win, buf), n, out=out)
+        return np.divide(window_sums(x, win, prod), n, out=out)
 
     def product(x, y):
         return np.multiply(x, y, dtype=np.int32, out=prod[: len(x)])
@@ -85,15 +84,15 @@ def ssim_plane(ref_plane: np.ndarray, test_plane: np.ndarray,
     for r0 in range(0, rows, strip):
         r1 = min(r0 + strip, rows)
         a, b = ref_plane[r0: r1 + win - 1], test_plane[r0: r1 + win - 1]
-        f0, f1, f2, f3, f4 = floats[:, : r1 - r0]
+        f0, f1, f2, f3 = floats[:, : r1 - r0]
         mu_a = np.divide(sum_a[r0: r1], n, out=f0)
         mu_b = window_mean(b, f1)
-        mu_ab = np.multiply(mu_a, mu_b, out=f2)
+        mu_ab = np.multiply(mu_a, mu_b, out=ssim_map[r0: r1])
         mu_aa = np.multiply(mu_a, mu_a, out=mu_a)
         mu_bb = np.multiply(mu_b, mu_b, out=mu_b)
-        var_a = np.divide(sum_aa[r0: r1], n, out=f3)
+        var_a = np.divide(sum_aa[r0: r1], n, out=f2)
         var_a -= mu_aa
-        var_b = window_mean(product(b, b), f4)
+        var_b = window_mean(product(b, b), f3)
         var_b -= mu_bb
         # the SSIM map is ((2*mu_ab + c1) * (2*cov + c2)) /
         # ((mu_aa + mu_bb + c1) * (var_a + var_b + c2)), in that order
@@ -111,7 +110,7 @@ def ssim_plane(ref_plane: np.ndarray, test_plane: np.ndarray,
         mu_aa += mu_bb
         mu_aa += c1
         mu_aa *= den
-        np.divide(num, mu_aa, out=ssim_map[r0: r1])
+        num /= mu_aa
     # one mean over the whole map keeps the pairwise summation order
     return float(ssim_map.mean())
 
