@@ -300,8 +300,7 @@ class _Chain:
                           self.qp_maps)
 
 
-def _run_cells(seq: Sequence, grid, cells, cfg: ExperimentConfig,
-               fields: dict | None) -> list:
+def _run_cells(seq: Sequence, grid, cells, cfg: ExperimentConfig) -> list:
     """Code cells, a list of (mode, base QP), frame-major: frame n of every
     cell before frame n + 1 of any. Returns their CellResults in order.
 
@@ -311,24 +310,23 @@ def _run_cells(seq: Sequence, grid, cells, cfg: ExperimentConfig,
     follows from the frame and the reference (or the previous source). So
     cells whose QP arrays agree on frames 0..n hold the same
     reconstruction of frame n: each distinct chain of QP arrays is coded
-    and scored once per frame, and a frame's codings are dropped once
-    every cell has coded the next one. fields is handed to
-    estimate_motion_field, so cells that share it search each distinct
-    (current, reference) plane pair once.
+    and scored once per frame. A frame's codings and motion fields are
+    dropped once every cell has coded the next frame; within a frame,
+    cells search each distinct (current, reference) plane pair once.
     """
     chains = [_Chain(mode, base_qp) for mode, base_qp in cells]
     spatial = any(ch.use_spatial for ch in chains)
-    src_prev = None
-    for frame in seq.frames:
+    for n, frame in enumerate(seq.frames):
         src = pad_plane(frame.planes[G], grid)
         act = compute_activity_map(frame, grid).a if spatial else None
-        # (index, EncodedFrame) of this frame's codings, keyed by the index
-        # of the coding they predict from and their QP array
-        store = {}
+        # store: (index, EncodedFrame) of this frame's codings, keyed by the
+        # index of the coding they predict from and their QP array;
+        # fields: estimate_motion_field's memo of this frame's searches
+        store, fields = {}, {}
         for ch in chains:
             fld = None if ch.ref is None else estimate_motion_field(
-                src, src_prev if cfg.open_loop_me
-                else pad_plane(ch.ref.planes[G], grid),
+                src, pad_plane((seq.frames[n - 1] if cfg.open_loop_me
+                                else ch.ref).planes[G], grid),
                 grid, cfg.search_range, fields)
             qmap = ch.qp_map(act, fld, grid.n_blocks, cfg)
             key = (ch.key, qmap.qp.tobytes())
@@ -345,15 +343,14 @@ def _run_cells(seq: Sequence, grid, cells, cfg: ExperimentConfig,
         del sums
         for ch in chains:
             ch.ssim_sum += scores[ch.key]
-        src_prev = src
     return [ch.result(seq) for ch in chains]
 
 
 def run_cell(seq: Sequence, grid, mode: str, base_qp: int,
-             cfg: ExperimentConfig, fields: dict | None = None) -> CellResult:
+             cfg: ExperimentConfig) -> CellResult:
     """Code a whole sequence in one mode at one base QP: run()'s
     frame-major loop over this one cell."""
-    return _run_cells(seq, grid, [(mode, base_qp)], cfg, fields)[0]
+    return _run_cells(seq, grid, [(mode, base_qp)], cfg)[0]
 
 
 @dataclass
@@ -382,10 +379,10 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     arrays agree on frames 0..n share one encode and one SSIM of frame n.
     The run holds its input, the reconstructions of the previous frame
     (one per distinct chain of QP arrays, at most one per cell) and those
-    of the frame being coded; none is kept once run returns. All cells
-    share one store of motion fields, so a search repeated across cells
-    (every open-loop search, and closed-loop ones whose reconstructions
-    agree) runs once.
+    of the frame being coded, and the motion fields of one frame; none is
+    kept once run returns, and no padded source plane outlives its frame.
+    Within a frame, a search repeated across cells (every open-loop
+    search, and closed-loop ones whose reconstructions agree) runs once.
     """
     cfg.validate()
     if cfg.out_dir is not None:
@@ -406,7 +403,7 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
         "inter_deadzone": INTER_DEADZONE, "channel_qp_offsets": (0, 0, 0)}
     report = ExperimentReport(label, echo)
     cells = [(mode, qp) for qp in cfg.qps for mode in modes]
-    report.cells = dict(zip(cells, _run_cells(seq, grid, cells, cfg, {})))
+    report.cells = dict(zip(cells, _run_cells(seq, grid, cells, cfg)))
     for (mode, qp), cell in report.cells.items():
         cell.set_deltas(report.cells[ANCHOR_MODE, qp])
     if cfg.out_dir is not None:

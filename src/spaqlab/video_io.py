@@ -37,8 +37,9 @@ def check_ints(**values) -> None:
             raise ValueError(f"{name} must be an int, got {value!r}")
 
 
-def bytes_per_sample(bit_depth: int) -> int:
-    return 1 if bit_depth == 8 else 2
+def sample_dtype(bit_depth: int) -> np.dtype:
+    """A raw file's sample type: uint8 at 8 bits, else little-endian uint16."""
+    return np.dtype(np.uint8 if bit_depth == 8 else "<u2")
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ class Sequence:
 
 
 def frame_byte_size(width: int, height: int, bit_depth: int) -> int:
-    return 3 * width * height * bytes_per_sample(bit_depth)
+    return 3 * width * height * sample_dtype(bit_depth).itemsize
 
 
 def load_raw(path, width: int, height: int, bit_depth: int,
@@ -149,8 +150,7 @@ def load_raw(path, width: int, height: int, bit_depth: int,
         raise RawFormatError(f"{path} holds {available} frames, fewer than "
                              f"the {frames} requested")
 
-    dtype = np.uint8 if bit_depth == 8 else np.dtype("<u2")
-    mask = (1 << bit_depth) - 1
+    dtype, mask = sample_dtype(bit_depth), (1 << bit_depth) - 1
 
     out = []
     with open(path, "rb") as fh:
@@ -164,7 +164,7 @@ def load_raw(path, width: int, height: int, bit_depth: int,
 
 def write_raw(seq: Sequence, path) -> None:
     """Write a Sequence in the raw planar layout; load_raw round-trips it."""
-    dtype = np.uint8 if seq.bit_depth == 8 else np.dtype("<u2")
+    dtype = sample_dtype(seq.bit_depth)
     with open(path, "wb") as fh:
         for frame in seq.frames:
             frame.planes.astype(dtype).tofile(fh)

@@ -387,6 +387,59 @@ def test_run_holds_reconstructions_of_one_frame_back(monkeypatch):
     assert all(r() is None for _, r in refs)
 
 
+def watch_motion_searches(monkeypatch, check):
+    """Route run()'s estimate_motion_field calls through check(curs, fields)
+    before each search. curs holds a weak reference to the current plane
+    of each inter frame so far, the calling frame's last; a call whose plane
+    is not the previous call's starts the next frame. fields holds
+    (frame, weak reference) for every field returned; it is also returned.
+    """
+    curs, fields = [], []
+    real = experiment.estimate_motion_field
+
+    def estimate_motion_field(cur, *args):
+        if not curs or curs[-1]() is not cur:
+            curs.append(weakref.ref(cur))
+        check(curs, fields)
+        fld = real(cur, *args)
+        fields.append((len(curs), weakref.ref(fld)))
+        return fld
+
+    monkeypatch.setattr(experiment, "estimate_motion_field",
+                        estimate_motion_field)
+    return fields
+
+
+@pytest.mark.parametrize("open_loop_me", [False, True])
+def test_run_holds_motion_fields_of_one_frame_back(monkeypatch, open_loop_me):
+    # when frame n searches, no field returned before frame n - 1 is alive,
+    # and none is once run() returns
+    stale = []
+    fields = watch_motion_searches(
+        monkeypatch, lambda curs, fields: stale.extend(
+            m for m, r in fields if m < len(curs) - 1 and r() is not None))
+    run(small_cfg(frames=5, qps=(22, 27), modes=experiment.MODES,
+                  open_loop_me=open_loop_me))
+    assert {m for m, _ in fields} == {1, 2, 3, 4}
+    assert stale == []
+    assert all(r() is None for _, r in fields)
+
+
+def test_closed_loop_run_keeps_no_earlier_source_plane(monkeypatch):
+    # at a padded size every frame's current plane is a fresh array, and
+    # none outlives its frame: when frame n searches, the plane frame n - 1
+    # searched from is dead
+    alive = []
+    watch_motion_searches(monkeypatch, lambda curs, fields: alive.extend(
+        i for i, r in enumerate(curs[:-1], 1) if r() is not None))
+    cfg = small_cfg(width=72, height=40, frames=4, qps=(22, 27),
+                    modes=experiment.MODES)
+    grid = build_grid(cfg.width, cfg.height, cfg.cb_depth)
+    assert (grid.padded_width, grid.padded_height) != (72, 40)
+    run(cfg)
+    assert alive == []
+
+
 @st.composite
 def run_configs(draw):
     kind = draw(st.sampled_from(experiment.SYNTHETIC_KINDS))

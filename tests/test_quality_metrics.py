@@ -135,7 +135,9 @@ def test_ssim_plane_equals_integral_image_expression_property(
 
 
 def near_max_pair(size, seed):
-    """Two 12-bit planes within 40 of 4095: every int32 integral wraps."""
+    """Two 12-bit planes within 40 of 4095. Every window sum of their
+    products wider than 8x8 passes 2^31, and at size 736 so does the sum
+    of either plane."""
     rng = np.random.default_rng(seed)
     ref = rng.integers(4055, 4096, (size, size)).astype(np.int32)
     test = np.clip(ref + rng.integers(-40, 41, (size, size)), 4055,
@@ -143,9 +145,9 @@ def near_max_pair(size, seed):
     return ref, test
 
 
-def test_ssim_plane_exact_where_the_int32_integral_wraps():
+def test_ssim_plane_exact_at_near_max_12bit_samples():
     ref, test = near_max_pair(736, 8)
-    # even the plain-sample integral passes 2^31: 736 * 736 * 4055 > 2^31
+    # the plane's own sum passes 2^31: 736 * 736 * 4055 > 2^31
     assert int(ref.sum(dtype=np.int64)) >= 2**31
     assert ssim_plane(ref, test, 12) == integral_image_ssim(ref, test, 12)
     assert ssim_plane(test, ref, 12) == integral_image_ssim(test, ref, 12)
@@ -157,8 +159,8 @@ def test_window_sums_match_direct_sums_past_int32_wrap(k):
     # 8x8 windows of 12-bit products are SSIM's largest sums; a 16x16 or
     # 32x32 window of them would not fit in int32
     for x in (ref, test) + ((ref * test,) if k == 8 else ()):
-        integral = np.zeros((737, 737), dtype=np.int32)
-        got = window_sums(x, k, integral)
+        buf = np.zeros((737, 737), dtype=np.int32)
+        got = window_sums(x, k, buf)
         want = sliding_window_view(x, (k, k)).sum(axis=(-2, -1),
                                                   dtype=np.int64)
         assert got.dtype == np.int32

@@ -8,9 +8,9 @@ from spaqlab.video_io import (
     Frame,
     RawFormatError,
     Sequence,
-    bytes_per_sample,
     frame_byte_size,
     load_raw,
+    sample_dtype,
     write_raw,
 )
 
@@ -92,7 +92,7 @@ def test_written_byte_length(tmp_path):
         frames.append(Frame(w, h, 8, (g, g.copy(), g.copy())))
     path = tmp_path / "g.rgb"
     write_raw(Sequence(frames), path)
-    assert path.stat().st_size == n * 3 * w * h * bytes_per_sample(8)
+    assert path.stat().st_size == n * 3 * w * h * sample_dtype(8).itemsize
 
 
 def test_max_frames_limits_read(tmp_path):
