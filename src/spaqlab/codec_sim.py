@@ -54,15 +54,20 @@ def idct2(coeffs: np.ndarray) -> np.ndarray:
 def quantize(coeffs: np.ndarray, qstep, deadzone: float) -> np.ndarray:
     """Deadzone scalar quantizer: level = sign(c) * floor(|c|/qstep + deadzone).
 
-    qstep is a scalar or an array that broadcasts against coeffs, such as
-    one step per channel of shape (3, 1, 1).
+    Returns the levels as integer-valued float64, in coeffs' shape. qstep
+    is a scalar or an array that broadcasts to coeffs' shape, such as one
+    step per channel of shape (3, 1, 1).
     """
     if np.any(np.asarray(qstep) <= 0):
         raise ValueError("qstep must be positive")
     if not 0.0 <= deadzone <= 0.5:
         raise ValueError("deadzone must lie in [0, 0.5]")
     c = np.asarray(coeffs, dtype=np.float64)
-    return (np.sign(c) * np.floor(np.abs(c) / qstep + deadzone)).astype(np.int64)
+    levels = np.abs(c)
+    levels /= qstep
+    levels += deadzone
+    np.floor(levels, out=levels)
+    return np.copysign(levels, c, out=levels)
 
 
 def dequantize(levels: np.ndarray, qstep) -> np.ndarray:
@@ -76,13 +81,15 @@ def bit_cost(levels: np.ndarray) -> np.ndarray:
     Over the last two axes: one significance bit per coefficient plus the
     signed order-0 exp-Golomb code length of every nonzero level.
     """
-    lv = np.asarray(levels, dtype=np.int64)
+    lv = np.asarray(levels)
     # signed mapping: k>0 -> 2k-1, k<0 -> 2|k|; ue(n) takes
-    # 2*floor(log2(n+1)) + 1 bits. ue(0) is one bit, so adding the
-    # significance bit of the nonzero levels gives each level's cost.
-    n = 2 * np.abs(lv) - (lv > 0)
-    bits = 2 * np.floor(np.log2(n + 1.0)).astype(np.int64) + 1 + (lv != 0)
-    return bits.sum(axis=(-2, -1))
+    # 2*floor(log2(n+1)) + 1 bits. For k != 0, n+1 is 2|k| or 2|k| + 1, so
+    # floor(log2(n+1)) = floor(log2|k|) + 1, which is exactly frexp(k)'s
+    # exponent e, and with its significance bit the level costs 2e + 2
+    # bits. frexp(0)'s exponent is 0, so only the nonzero levels add to
+    # the exponent sum and a zero level costs its one bit.
+    return (2 * np.frexp(lv)[1].sum(axis=(-2, -1), dtype=np.int64)
+            + lv.shape[-2] * lv.shape[-1] + np.count_nonzero(lv, axis=(-2, -1)))
 
 
 @dataclass

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import encode_frame_by_cb
 from spaqlab.codec_sim import (
     INTER_DEADZONE,
+    INTRA_DEADZONE,
     bit_cost,
     dct2,
     dequantize,
@@ -133,6 +134,49 @@ def test_bit_cost_monotone_in_magnitude():
     for _ in range(100):
         lv = rng.integers(-40, 41, (4, 4))
         assert bit_cost(2 * lv) >= bit_cost(lv)
+
+
+edge_points = st.lists(st.tuples(st.integers(1, 5000), st.sampled_from((-1, 0, 1)),
+                                  st.booleans()), min_size=1, max_size=16)
+qsteps = st.one_of(st.sampled_from([qp_to_qstep(q) for q in range(52)]),
+                   st.floats(0.01, 500.0))
+
+
+@settings(max_examples=200)
+@given(edge_points, st.tuples(qsteps, qsteps, qsteps),
+       st.one_of(st.sampled_from((0.0, INTER_DEADZONE, INTRA_DEADZONE, 0.5)),
+                 st.floats(0.0, 0.5)))
+def test_quantize_equals_the_rule_at_level_boundaries_property(points, steps,
+                                                               deadzone):
+    # level k starts where |c| / qstep + deadzone reaches k: take each
+    # channel's edge |c| = (k - deadzone) * qstep, its float neighbours
+    # and zero, of either sign
+    c = np.zeros((3, 1, len(points) + 2))
+    c[:, 0, 1] = -0.0
+    for ch, qstep in enumerate(steps):
+        for j, (k, side, negative) in enumerate(points, 2):
+            edge = (k - deadzone) * qstep
+            edge = np.nextafter(edge, side * np.inf) if side else edge
+            c[ch, 0, j] = -edge if negative else edge
+    qstep = np.array(steps)[:, None, None]
+    want = (np.sign(c) * np.floor(np.abs(c) / qstep + deadzone)).astype(np.int64)
+    got = quantize(c, qstep, deadzone)
+    assert got.dtype == np.float64 and np.array_equal(got, want)
+    for ch in range(3):
+        assert np.array_equal(quantize(c[ch], steps[ch], deadzone), want[ch])
+
+
+@given(st.lists(st.tuples(st.integers(0, 20), st.integers(-2, 1), st.booleans()),
+                min_size=1, max_size=64))
+def test_bit_cost_near_powers_of_two_property(points):
+    # the exp-Golomb length steps between 2**k - 1 and 2**k; take both and
+    # their neighbours, of either sign
+    levels = [(2**k + step) * (-1 if negative else 1)
+              for k, step, negative in points]
+    want = len(levels) + sum(se_golomb_bits(k) for k in levels if k)
+    lv = np.array(levels, dtype=np.int64).reshape(1, -1)
+    assert bit_cost(lv) == want
+    assert bit_cost(lv.astype(np.float64)) == want
 
 
 def smooth_frame(w=32, h=32, depth=8):

@@ -240,6 +240,19 @@ def test_ablation_run_pinned_byte_for_byte(tmp_path, monkeypatch):
             for p in out.rglob("*") if p.is_file()} == ABLATION_DIGESTS
 
 
+def test_12bit_64px_noise_run_pinned(tmp_path, monkeypatch):
+    # full-range 12-bit noise searched densely with 64-px PUs, at both QP
+    # extremes; report.csv is pinned to the bytes that int64 SAD sums give
+    monkeypatch.chdir(tmp_path)
+    run(ExperimentConfig(synthetic="noise", width=128, height=128,
+                         bit_depth=12, frames=2, qps=(0, 51),
+                         modes=experiment.MODES, cb_depth=0, seed=0,
+                         out_dir="out"))
+    assert hashlib.sha256(
+        (tmp_path / "out" / "report.csv").read_bytes()).hexdigest() == (
+        "f67c115164aff753a6f5c89946f5d8086a45b66b5a293789503274813c2ef432")
+
+
 @pytest.mark.parametrize("bit_depth, frames", [(8, 241), (10, 961)])
 def test_long_gradient_saturates(bit_depth, frames):
     # past maxv - maxv // 16 frames the brightening reaches maxv and stays

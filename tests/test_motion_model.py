@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from oracles import temporal_offset_br, temporal_offset_g
 from spaqlab import motion_model
@@ -398,24 +399,110 @@ def test_field_matches_exhaustive_oracle_on_prunable_content(planes,
 @given(ramp_patch_planes(), st.integers(0, 8))
 def test_full_sads_only_for_candidates_within_the_upper_bound(planes,
                                                               search_range):
+    # each full SAD is keyed by the int16 samples of its block and window,
+    # so the check holds however the search batches its SAD calls
     cur, ref, grid = planes
-    evaluated = []
+    n = grid.cb_size
+    evaluated = set()
     real = motion_model._sads
-    with mock.patch.object(motion_model, "_sads", lambda windows, block: (
-            evaluated.append(windows[..., 0, 0].size)
-            or real(windows, block))):
+
+    def spy(windows, blocks, at=None):
+        if at is None:
+            pairs = ((blocks, w) for w in windows.reshape(-1, n, n))
+        else:
+            i, y, x = at
+            pairs = zip(blocks[i], windows[y, x])
+        evaluated.update((b.tobytes(), w.tobytes()) for b, w in pairs)
+        return real(windows, blocks, at)
+
+    with mock.patch.object(motion_model, "_sads", spy):
         estimate_motion_field(cur, ref, grid, search_range)
-    expected = []
+    expected = set()
     for pu in grid.blocks:
         cands = candidates(cur, ref, pu, search_range)
-        lowest = min(cands.values(), key=lambda c: c[0])
-        upper = min(cands[0, 0][1], lowest[1])
-        survivors = sum(bound <= upper for bound, _ in cands.values())
-        # two SADs set the upper bound; if more than half the candidates
-        # survive, all are evaluated at once
-        expected += [2, len(cands) if 2 * survivors > len(cands)
-                     else survivors]
+        lowest = min(cands, key=lambda d: cands[d][0])  # first in raster order
+        upper = min(cands[0, 0][1], cands[lowest][1])
+        survivors = {d for d, (bound, _) in cands.items() if bound <= upper}
+        # the zero vector and the lowest-bound candidate set the upper
+        # bound; if more than half the candidates survive, all get a SAD
+        full = (cands if 2 * len(survivors) > len(cands)
+                else survivors | {(0, 0), lowest})
+        block = cur[pu.y: pu.y + n, pu.x: pu.x + n].astype(np.int16).tobytes()
+        expected |= {(block, ref[pu.y + dy: pu.y + dy + n, pu.x + dx:
+                                 pu.x + dx + n].astype(np.int16).tobytes())
+                     for dy, dx in full}
     assert evaluated == expected
+
+
+def test_sads_exact_at_the_int32_limit():
+    # 64 * 64 * 4095 = 16,773,120, on both sides of the subtraction and in
+    # both call forms; the sliced stack spans several SAD_PASS passes
+    zero, peak = np.zeros((64, 64), np.int16), np.full((64, 64), 4095, np.int16)
+    for block, fill in ((zero, 4095), (peak, 0)):
+        windows = sliding_window_view(
+            np.full((66, 128), fill, np.int16), (64, 64))
+        assert windows[..., 0, 0].size * 64 * 64 > 2 * motion_model.SAD_PASS
+        sads = motion_model._sads(windows, block)
+        assert sads.dtype == np.int32 and sads.shape == (3, 65)
+        assert (sads == 16_773_120).all()
+        at = (np.zeros(5, np.int64), np.arange(5) % 3, np.arange(5) * 13)
+        assert motion_model._sads(windows, block[None], at).tolist() == [
+            16_773_120] * 5
+
+
+@pytest.mark.parametrize("n", [4, 16, 32, 64])
+def test_sads_equal_int64_sums_over_partial_passes(n):
+    # 16 windows a row, so a sliced pass takes two or more whole rows, and
+    # the last pass takes fewer
+    rng = np.random.default_rng(n)
+    per_pass = motion_model.SAD_PASS // (16 * n * n)
+    assert per_pass >= 2
+    ref = rng.integers(0, 4096, (n + 2 * per_pass, n + 15)).astype(np.int16)
+    blocks = rng.integers(0, 4096, (3, n, n)).astype(np.int16)
+    windows = sliding_window_view(ref, (n, n))
+    want = np.abs(windows[None].astype(np.int64)
+                  - blocks[:, None, None].astype(np.int64)).sum((-2, -1))
+    rows, cols = windows.shape[:2]
+    for b in range(3):
+        assert (motion_model._sads(windows, blocks[b]) == want[b]).all()
+    # a gathered count that is no multiple of the pass size
+    count = motion_model.SAD_PASS // (n * n) * 2 + 7
+    at = (rng.integers(0, 3, count), rng.integers(0, rows, count),
+          rng.integers(0, cols, count))
+    assert motion_model._sads(windows, blocks, at).tolist() == want[at].tolist()
+
+
+@st.composite
+def twelve_bit_64px_planes(draw):
+    """(cur, ref, grid) at cb_depth 0, edge-padded to the grid: full-range
+    12-bit noise, which searches densely, or a ramp with a moved patch."""
+    w, h = draw(st.integers(8, 140)), draw(st.integers(8, 140))
+    grid = build_grid(w, h, 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        planes = rng.integers(0, 4096, (2, h, w))
+    else:
+        yy, xx = np.mgrid[:h, :w]
+        planes = np.stack([16 * (yy + xx) % 4096] * 2)
+        size = draw(st.integers(4, min(h, w)))
+        texture = rng.integers(0, 4096, (size, size))
+        for plane in planes:
+            y, x = rng.integers(0, h - size + 1), rng.integers(0, w - size + 1)
+            plane[y: y + size, x: x + size] = texture
+    return (*(pad_plane(p.astype(np.int32), grid) for p in planes), grid)
+
+
+@settings(deadline=None, max_examples=25)
+@given(twelve_bit_64px_planes(), st.integers(0, 6))
+def test_64px_field_matches_exhaustive_oracle_at_12_bits(planes,
+                                                         search_range):
+    cur, ref, grid = planes
+    assert grid.cb_size == 64
+    field = estimate_motion_field(cur, ref, grid, search_range)
+    assert field.vectors.tolist() == [
+        list(brute_force_match(cur, ref, pu, search_range))
+        for pu in grid.blocks
+    ]
 
 
 vector_lists = st.lists(
