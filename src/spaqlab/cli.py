@@ -14,7 +14,7 @@ from .experiment import (
 )
 from .partitioner import CB_SIZE_BY_DEPTH
 from .qp_model import CLAMP_SCOPES
-from .video_io import SUPPORTED_BIT_DEPTHS, RawFormatError
+from .video_io import SUPPORTED_BIT_DEPTHS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,7 +89,7 @@ def main(argv=None) -> int:
         parser.error(str(exc))  # exits 2 before any work
     try:
         report = run(cfg)
-    except (RawFormatError, OSError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"spaqlab: error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(report.cells)} records to {cfg.out_dir}")

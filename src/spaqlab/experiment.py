@@ -246,8 +246,9 @@ class CellResult:
 
 class _Chain:
     """One cell partway through its frames: the reconstruction its next
-    frame predicts from, that coding's index in its frame's store, its
-    last motion field's mean magnitude and its running sums."""
+    frame predicts from, that coding's index in its frame's store (cells
+    with one index, or all cells in open loop, share a search; two equal
+    codings are searched twice), its last field's mean magnitude and sums."""
 
     def __init__(self, mode: str, base_qp: int):
         self.mode, self.base_qp = mode, base_qp
@@ -310,24 +311,24 @@ def _run_cells(seq: Sequence, grid, cells, cfg: ExperimentConfig) -> list:
     follows from the frame and the reference (or the previous source). So
     cells whose QP arrays agree on frames 0..n hold the same
     reconstruction of frame n: each distinct chain of QP arrays is coded
-    and scored once per frame. A frame's codings and motion fields are
-    dropped once every cell has coded the next frame; within a frame,
-    cells search each distinct (current, reference) plane pair once.
+    and scored once per frame. Cells that predict from one coding of frame
+    n - 1 share a search, all cells do in open loop, and two codings with
+    equal reconstructions are searched twice.
     """
     chains = [_Chain(mode, base_qp) for mode, base_qp in cells]
     spatial = any(ch.use_spatial for ch in chains)
     for n, frame in enumerate(seq.frames):
         src = pad_plane(frame.planes[G], grid)
         act = compute_activity_map(frame, grid).a if spatial else None
-        # store: (index, EncodedFrame) of this frame's codings, keyed by the
-        # index of the coding they predict from and their QP array;
-        # fields: estimate_motion_field's memo of this frame's searches
+        # store: (index, EncodedFrame) per (index predicted from, QP array);
+        # fields: a search memo per index predicted from (one in open loop)
         store, fields = {}, {}
         for ch in chains:
             fld = None if ch.ref is None else estimate_motion_field(
                 src, pad_plane((seq.frames[n - 1] if cfg.open_loop_me
-                                else ch.ref).planes[G], grid),
-                grid, cfg.search_range, fields)
+                                else ch.ref).planes[G], grid), grid,
+                cfg.search_range,
+                fields.setdefault(None if cfg.open_loop_me else ch.key, {}))
             qmap = ch.qp_map(act, fld, grid.n_blocks, cfg)
             key = (ch.key, qmap.qp.tobytes())
             if key not in store:
@@ -381,8 +382,8 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     (one per distinct chain of QP arrays, at most one per cell) and those
     of the frame being coded, and the motion fields of one frame; none is
     kept once run returns, and no padded source plane outlives its frame.
-    Within a frame, a search repeated across cells (every open-loop
-    search, and closed-loop ones whose reconstructions agree) runs once.
+    Cells predicting from one coding of frame n - 1 share a search, all do
+    in open loop, and two codings that reconstruct alike search twice.
     """
     cfg.validate()
     if cfg.out_dir is not None:

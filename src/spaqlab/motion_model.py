@@ -11,7 +11,6 @@ one bounded int16 buffer and summed exactly in int32.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,25 +177,18 @@ def estimate_motion_field(cur: np.ndarray, ref: np.ndarray, grid: BlockGrid,
     """Motion vectors for every PU of a frame, in grid raster order.
 
     The PUs are searched in raster-order groups, each as large as keeps
-    its bounds array within 2**20 entries. With fields, a dict shared
-    across calls, each distinct search is run once: the field is stored
-    under a SHA-256 digest of the planes' shapes, dtypes and samples, the
-    grid's geometry and the search range, and a later call with the same
-    inputs returns the stored field unsearched.
+    its bounds array within 2**20 entries. fields, if given, is a memo
+    keyed by grid geometry and search range alone, to be shared only by
+    calls on equal planes: run() shares one among the cells predicting
+    from one coding of frame n - 1 (all cells in open loop), so two
+    codings with equal reconstructions are searched twice.
     """
-    if fields is not None:
-        digest = hashlib.sha256(repr((
-            cur.shape, cur.dtype.str, ref.shape, ref.dtype.str, grid.cb_size,
-            grid.cols, grid.rows, search_range)).encode())
-        digest.update(np.ascontiguousarray(cur).data)
-        digest.update(np.ascontiguousarray(ref).data)
-        key = digest.digest()
-        if key in fields:
-            return fields[key]
-    r = min(search_range, max(cur.shape) - grid.cb_size)  # as block_match
-    per, pus = max(1, 2**20 // (2 * r + 1) ** 2), grid.blocks
-    field = motion_field([mv for i in range(0, len(pus), per) for mv in
-                          block_match(cur, ref, pus[i: i + per], search_range)])
-    if fields is not None:
-        fields[key] = field
-    return field
+    fields = {} if fields is None else fields
+    key = grid.cb_size, grid.cols, grid.rows, search_range
+    if key not in fields:
+        r = min(search_range, max(cur.shape) - grid.cb_size)  # as block_match
+        per, pus = max(1, 2**20 // (2 * r + 1) ** 2), grid.blocks
+        groups = (pus[i: i + per] for i in range(0, len(pus), per))
+        fields[key] = motion_field(
+            [mv for g in groups for mv in block_match(cur, ref, g, search_range)])
+    return fields[key]

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import run_cell_alone
-from spaqlab import experiment
+from spaqlab import experiment, motion_model
 from spaqlab.cli import build_parser, config_from_args, main
 from spaqlab.experiment import (
     ANCHOR_MODE,
@@ -1097,8 +1097,46 @@ def test_closed_loop_sharing_keeps_every_file(tmp_path, monkeypatch,
         lambda cur, ref, grid, search_range, fields=None:
             real(cur, ref, grid, search_range))
     assert snapshot() == shared
-    # some reconstructions agree across cells, so sharing skipped searches
+    # cells that predict from one coding of the previous frame share its
+    # search, so sharing skipped searches
     assert shared_searches < len(searched)
+
+
+def test_each_coding_is_searched_from_once(monkeypatch):
+    # frame n runs one search per distinct coding of frame n - 1: a memo
+    # shared by every reference would search less, one per cell more.
+    # Frame n's codings and searches all come before its SSIM sums.
+    codings, searches = [0], [0]
+
+    def count(calls, real):
+        def wrapped(*args):
+            calls[-1] += 1
+            return real(*args)
+        return wrapped
+
+    def next_frame(real):
+        def wrapped(frame):
+            codings.append(0)
+            searches.append(0)
+            return real(frame)
+        return wrapped
+
+    monkeypatch.setattr(experiment, "encode_frame",
+                        count(codings, experiment.encode_frame))
+    monkeypatch.setattr(motion_model, "motion_field",
+                        count(searches, motion_model.motion_field))
+    monkeypatch.setattr(experiment, "ssim_sums",
+                        next_frame(experiment.ssim_sums))
+    qps = (22, 27, 32)
+    run(small_cfg(synthetic="moving-texture", frames=4, qps=qps,
+                  modes=experiment.MODES))
+    codings, searches = codings[:-1], searches[:-1]
+    assert len(codings) == 4 and searches[0] == 0
+    assert searches[1:] == codings[:-1]
+    # the count tells the two wrong memos apart: some frame searched from
+    # has more than one coding, and some fewer than one per cell
+    assert max(codings[:-1]) > 1
+    assert min(codings[:-1]) < len(qps) * len(experiment.MODES)
 
 
 def test_clamp_scope_term_runs():

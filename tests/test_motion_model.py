@@ -185,19 +185,33 @@ def test_shared_fields_search_each_input_once(searched):
     assert first.magnitudes.tolist() == fresh.magnitudes.tolist()
     assert first.mean_magnitude == fresh.mean_magnitude
     assert len(searched) == grid.n_blocks and len(fields) == 1
-    # equal samples in other arrays are a hit: nothing is searched
-    assert estimate_motion_field(cur.copy(), ref.copy(), grid, 4,
+    # the dict stands for one pair of planes: a call with the same grid and
+    # range is a hit whatever planes it is given, and searches nothing
+    assert estimate_motion_field(ref, cur, grid, 4, fields) is first
+    assert estimate_motion_field(np.zeros_like(cur), ref, grid, 4,
                                  fields) is first
     assert len(searched) == grid.n_blocks
 
-    # one changed reference sample, or another search range, is a miss
-    nudged = ref.copy()
-    nudged[40, 17] ^= 1
-    for args in ((cur, nudged, grid, 4), (cur, ref, grid, 2)):
+    # another search range or grid geometry is a miss, stored beside it
+    small = build_grid(64, 64, 2)
+    misses = ((grid, 2), (small, 4))
+    stored = []
+    for args in misses:
         searched.clear()
-        estimate_motion_field(*args, fields)
-        assert len(searched) == grid.n_blocks
+        stored.append(estimate_motion_field(cur, ref, *args, fields))
+        assert stored[-1] is not first
+        assert len(searched) == args[0].n_blocks
     assert len(fields) == 3
+    searched.clear()
+    for args, field in zip(((grid, 4), *misses), (first, *stored)):
+        assert estimate_motion_field(cur, ref, *args, fields) is field
+    assert not searched
+
+    # a fresh dict searches again
+    searched.clear()
+    again = estimate_motion_field(cur, ref, grid, 4, {})
+    assert again is not first and len(searched) == grid.n_blocks
+    assert again.vectors.tolist() == first.vectors.tolist()
 
 
 def test_mismatched_planes_rejected():
