@@ -3,11 +3,13 @@
 Per CB, for G, B and R at once: predict (DC from reconstructed neighbors
 on intra frames, motion-compensated copy on inter frames), transform the
 residual with an orthonormal 2-D DCT, quantize with each channel's step
-size and a deadzone, count proxy bits, then reconstruct. The CBs of one
-anti-diagonal of the grid go through these steps as one stack, with the
-same bits as raster order. Everything that
-would be symmetric between two QP allocations (entropy coder, loop
-filters, rich prediction) is deliberately left out; the proxy bit cost is
+size and a deadzone, count proxy bits, then reconstruct. CBs go through
+these steps in stacks, with the same bits as raster order: one
+anti-diagonal of the grid at a time on intra frames, whose DC predictors
+read earlier CBs, and raster passes of at most INTER_PASS samples on
+inter frames, whose CBs read none of their frame. Everything that would
+be symmetric between two QP allocations (entropy coder, loop filters,
+rich prediction) is deliberately left out; the proxy bit cost is
 deterministic and monotone in level magnitude but not comparable to a
 real bitstream.
 """
@@ -26,6 +28,7 @@ from .video_io import Frame
 
 INTRA_DEADZONE = 1.0 / 3.0
 INTER_DEADZONE = 1.0 / 6.0
+INTER_PASS = 2**15  # samples (3 channels) per stack of an inter frame
 
 
 @lru_cache(maxsize=None)
@@ -120,7 +123,7 @@ def encode_frame(frame: Frame, ref: Frame | None, qp_map: QpMap,
     deadzone); otherwise every PU is motion-compensated from ref at its
     vector from `motion`, which an inter frame requires. Each CB is coded
     as one (3, S, S) block of G, B and R with the channels' own QSteps,
-    one anti-diagonal at a time; a DC predictor reads earlier diagonals only.
+    in stacks of anti-diagonals (intra) or raster passes (inter).
     """
     if qp_map.n_blocks != grid.n_blocks:
         raise ValueError(
@@ -152,10 +155,16 @@ def encode_frame(frame: Frame, ref: Frame | None, qp_map: QpMap,
             mvx, mvy = motion.vectors[np.argmax(bad)].tolist()
             raise ValueError(
                 f"motion vector ({mvx}, {mvy}) leaves the reference")
+    if intra:  # a DC predictor reads earlier anti-diagonals only
+        stacks = ((rows, d - rows) for d in range(n_rows + n_cols - 1)
+                  for rows in [np.arange(max(0, d - n_cols + 1),
+                                         min(d, n_rows - 1) + 1)])
+    else:  # an inter CB reads no other CB of its frame
+        step = INTER_PASS // (3 * size * size)
+        stacks = (np.divmod(np.arange(i, min(i + step, grid.n_blocks)), n_cols)
+                  for i in range(0, grid.n_blocks, step))
     channel_bits = np.zeros(3, dtype=np.int64)
-    for d in range(n_rows + n_cols - 1):
-        rows = np.arange(max(0, d - n_cols + 1), min(d, n_rows - 1) + 1)
-        cols = d - rows
+    for rows, cols in stacks:
         if intra:
             pred = _intra_dc(recon, rows, cols, mid)
         else:

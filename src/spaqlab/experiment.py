@@ -29,7 +29,8 @@ import numpy as np
 from .codec_sim import INTER_DEADZONE, INTRA_DEADZONE, encode_frame
 from .motion_model import DEFAULT_SEARCH_RANGE, estimate_motion_field
 from .partitioner import CB_SIZE_BY_DEPTH, build_grid, pad_plane
-from .qp_model import CLAMP_SCOPES, QP_MAX, QP_MIN, build_qp_map, uniform_qp_map
+from .qp_model import (CLAMP_SCOPES, QP_MAX, QP_MIN, build_qp_map, qp_to_qstep,
+                       uniform_qp_map)
 from .quality_metrics import (SSIM_WINDOW, mse_to_psnr, pct_delta, ssim_global,
                               ssim_sums)
 from .spatial_activity import DEFAULT_SCALE, compute_activity_map
@@ -51,6 +52,7 @@ REPORT_COLUMNS = (
 RATE_POINT_COLUMNS = ("qp", "mode", "bits", "ssim")
 QPMAP_COLUMNS = ("frame", "cb_index", "channel", "q", "raw", "t", "delta",
                  "qp", "qstep")
+_QSTEP_TEXT = tuple(f"{qp_to_qstep(q):.6f}" for q in range(QP_MIN, QP_MAX + 1))
 
 
 @dataclass
@@ -446,13 +448,14 @@ def _histogram(qps) -> dict:
 
 def _qpmap_csv(frame: int, qmap) -> str:
     """Frame frame's QP map as CSV text: a row per (CB, channel), CB-major,
-    CRLF line ends; raw is an int, every other number has 6 decimals."""
+    CRLF line ends; raw is an int, every other number has 6 decimals.
+    t, delta and qp are whole, so each is an int and a literal .000000."""
     base = f"{qmap.base_qp:.6f}"
-    cols = (a.T.ravel().tolist()
-            for a in (qmap.raw, qmap.t, qmap.delta, qmap.qp, qmap.qstep))
+    cols = (a.astype(np.int64).T.ravel().tolist()
+            for a in (qmap.raw, qmap.t, qmap.delta, qmap.qp))
     rows = (f"{frame},{i // 3},{CHANNELS[i % 3]},{base},"
-            f"{raw},{t:.6f},{delta:.6f},{qp:.6f},{qstep:.6f}"
-            for i, (raw, t, delta, qp, qstep) in enumerate(zip(*cols)))
+            f"{raw},{t}.000000,{delta}.000000,{qp}.000000,{_QSTEP_TEXT[qp]}"
+            for i, (raw, t, delta, qp) in enumerate(zip(*cols)))
     return "\r\n".join([",".join(QPMAP_COLUMNS), *rows, ""])
 
 

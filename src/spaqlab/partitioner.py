@@ -90,26 +90,30 @@ def pad_plane(plane: np.ndarray, grid: BlockGrid) -> np.ndarray:
 
 def window_sums(x: np.ndarray, k: int, buf: np.ndarray) -> np.ndarray:
     """int32 sum of the 2-D x over every k x k window (stride 1), k a power
-    of two, as a view into buf: an int32 array at least x's shape, which
-    may be x itself.
+    of two, as a view into buf: a C-contiguous int32 array of at least
+    x.size entries, which may be x itself.
 
     The sums double along each axis in turn: two sums of w rows, w rows
     apart, make a sum of 2w rows, so log2(k) adds per axis give every
     window. For x >= 0 each partial sum is at most a window sum, so when
-    every window sum fits in int32, nothing wraps.
+    every window sum fits in int32, nothing wraps. The horizontal adds run
+    over buf's leading (h - k + 1) * w entries as one flat span: a sum
+    past a row's end lands in a column past w - k, which is not returned.
     """
     if k < 1 or k & (k - 1):
         raise ValueError(f"window side must be a power of two, got {k}")
+    if not buf.flags.c_contiguous:
+        raise ValueError("window_sums needs a C-contiguous buf")
     sides = [1 << i for i in range(k.bit_length() - 1)]  # 1, 2, ..., k / 2
     (h, w), s = x.shape, x
+    out = buf.reshape(-1)[: h * w].reshape(h, w)
     for side in sides:
         h -= side
-        s = np.add(s[:h], s[side: side + h], dtype=np.int32, out=buf[:h, :w])
+        s = np.add(s[:h], s[side: side + h], dtype=np.int32, out=out[:h])
+    if k == 1:
+        out[...] = x
+    flat, n = out.reshape(-1), h * w
     for side in sides:
-        w -= side
-        s = np.add(s[:, :w], s[:, side: side + w], dtype=np.int32,
-                   out=buf[:h, :w])
-    if s is x:  # k == 1
-        s = buf[:h, :w]
-        s[...] = x
-    return s
+        n -= side
+        np.add(flat[:n], flat[side: side + n], out=flat[:n])
+    return out[:h, : w - k + 1]

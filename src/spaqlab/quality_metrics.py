@@ -35,15 +35,18 @@ def mse_to_psnr(mse: float, bit_depth: int) -> float:
 
 
 def _plane_sums(plane: np.ndarray) -> tuple:
-    """int32 window sums of plane and of its square."""
+    """int32 window sums of plane and of its square, as (h - 7, w) rows."""
+    sums = np.empty(plane.shape, np.int32)
     square = np.multiply(plane, plane, dtype=np.int32)
-    return (window_sums(plane, SSIM_WINDOW, np.empty(plane.shape, np.int32)),
-            window_sums(square, SSIM_WINDOW, square))
+    window_sums(plane, SSIM_WINDOW, sums)
+    window_sums(square, SSIM_WINDOW, square)
+    return sums[: 1 - SSIM_WINDOW], square[: 1 - SSIM_WINDOW]
 
 
 def ssim_sums(frame: Frame) -> list:
     """Per channel, the int32 window sums of a and of a * a: all that
-    ssim_global(frame, test, sums) reads of its ref beyond the samples."""
+    ssim_global(frame, test, sums) reads of its ref beyond the samples.
+    Each is (h - 7, w) rows whose last 7 columns are not window sums."""
     return [_plane_sums(plane) for plane in frame.planes]
 
 
@@ -59,24 +62,31 @@ def ssim_plane(ref_plane: np.ndarray, test_plane: np.ndarray,
     if h < SSIM_WINDOW or w < SSIM_WINDOW:
         raise ValueError(f"plane {h}x{w} is smaller than the "
                          f"{SSIM_WINDOW}x{SSIM_WINDOW} window")
-    sum_a, sum_aa = _plane_sums(ref_plane) if sums is None else sums
+    sum_a, sum_aa = (s.ravel() for s in sums or _plane_sums(ref_plane))
     peak = (1 << bit_depth) - 1
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
     win = SSIM_WINDOW
-    n = win * win
+    inv = 1 / (win * win)  # a power of two, so * inv is / 64 bit for bit
     rows = h - win + 1
     strip = min(SSIM_STRIP, rows)
 
     # One int32 buffer takes the test plane's products and window sums,
-    # and the float stage works in place on four strip buffers and the
-    # map: fresh temporaries per call cost a page fault per 4 KiB.
+    # and the float stage works in place on five strip buffers (fresh
+    # temporaries cost a page fault per 4 KiB), each one flat span of
+    # full-width rows up to the strip's last window position: a column
+    # past w - 8 sums 64 samples across a row end, and is dropped.
     prod = np.empty((strip + win - 1, w), dtype=np.int32)
-    floats = np.empty((4, strip, w - win + 1))
+    floats = np.empty((5, strip, w))
     ssim_map = np.empty((rows, w - win + 1))
 
+    def mean(x, out):
+        out[...] = x
+        return np.multiply(out, inv, out=out)
+
     def window_mean(x, out):
-        return np.divide(window_sums(x, win, prod), n, out=out)
+        window_sums(x, win, prod)
+        return mean(prod.reshape(-1)[: len(out)], out)
 
     def product(x, y):
         return np.multiply(x, y, dtype=np.int32, out=prod[: len(x)])
@@ -84,13 +94,14 @@ def ssim_plane(ref_plane: np.ndarray, test_plane: np.ndarray,
     for r0 in range(0, rows, strip):
         r1 = min(r0 + strip, rows)
         a, b = ref_plane[r0: r1 + win - 1], test_plane[r0: r1 + win - 1]
-        f0, f1, f2, f3 = floats[:, : r1 - r0]
-        mu_a = np.divide(sum_a[r0: r1], n, out=f0)
+        o, span = r0 * w, (r1 - r0) * w - win + 1
+        f0, f1, f2, f3, f4 = floats.reshape(5, -1)[:, :span]
+        mu_a = mean(sum_a[o: o + span], f0)
         mu_b = window_mean(b, f1)
-        mu_ab = np.multiply(mu_a, mu_b, out=ssim_map[r0: r1])
+        mu_ab = np.multiply(mu_a, mu_b, out=f4)
         mu_aa = np.multiply(mu_a, mu_a, out=mu_a)
         mu_bb = np.multiply(mu_b, mu_b, out=mu_b)
-        var_a = np.divide(sum_aa[r0: r1], n, out=f2)
+        var_a = mean(sum_aa[o: o + span], f2)
         var_a -= mu_aa
         var_b = window_mean(product(b, b), f3)
         var_b -= mu_bb
@@ -111,6 +122,7 @@ def ssim_plane(ref_plane: np.ndarray, test_plane: np.ndarray,
         mu_aa += c1
         mu_aa *= den
         num /= mu_aa
+        ssim_map[r0: r1] = floats[4, : r1 - r0, : 1 - win]
     # one mean over the whole map keeps the pairwise summation order
     return float(ssim_map.mean())
 

@@ -119,10 +119,11 @@ def load_raw(path, width: int, height: int, bit_depth: int,
     """Read a raw planar G,B,R file into a Sequence.
 
     Returns exactly the frames count from the start of the file, or every
-    frame when frames is None; samples are masked to bit_depth bits.
-    Raises RawFormatError, before a byte is read, when path is not a
-    regular file, when the file size is not a positive whole number of
-    frames or when it holds fewer frames than asked for.
+    frame when frames is None. Raises RawFormatError, before a byte is
+    read, when path is not a regular file, when the file size is not a
+    positive whole number of frames or when it holds fewer frames than
+    asked for; and, naming the frame, when a sample exceeds bit_depth
+    bits (a big-endian file, or a 12-bit file read as 10-bit).
     """
     check_ints(width=width, height=height, bit_depth=bit_depth)
     if bit_depth not in SUPPORTED_BIT_DEPTHS:
@@ -150,15 +151,19 @@ def load_raw(path, width: int, height: int, bit_depth: int,
         raise RawFormatError(f"{path} holds {available} frames, fewer than "
                              f"the {frames} requested")
 
-    dtype, mask = sample_dtype(bit_depth), (1 << bit_depth) - 1
+    dtype, top = sample_dtype(bit_depth), (1 << bit_depth) - 1
 
     out = []
     with open(path, "rb") as fh:
-        for _ in range(frames):
+        for n in range(frames):
             raw = np.fromfile(fh, dtype=dtype, count=3 * width * height)
             planes = raw.astype(np.int32).reshape(3, height, width)
-            planes &= mask
-            out.append(Frame(width, height, bit_depth, planes))
+            try:  # Frame checks every sample against the bit depth
+                out.append(Frame(width, height, bit_depth, planes))
+            except ValueError:
+                raise RawFormatError(
+                    f"{path}: frame {n} holds sample {int(planes.max())}, "
+                    f"above the {bit_depth}-bit maximum {top}") from None
     return Sequence(out)
 
 

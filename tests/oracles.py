@@ -8,6 +8,8 @@ anti-diagonal stacks must give its bits and reconstruction exactly.
 run_cell_alone codes one whole cell after another, and
 spaqlab.experiment.run's frame-major loop, which shares the coding of
 equal QP chains, must give every cell's figures and QP maps exactly.
+qpmap_csv_text formats every number of a QP map with its own f-string,
+and spaqlab.experiment._qpmap_csv's table-driven rows must equal it.
 """
 
 import numpy as np
@@ -23,14 +25,14 @@ from spaqlab.codec_sim import (
     idct2,
     quantize,
 )
-from spaqlab.experiment import ANCHOR_MODE, CellResult
+from spaqlab.experiment import ANCHOR_MODE, QPMAP_COLUMNS, CellResult
 from spaqlab.motion_model import MotionField, estimate_motion_field
 from spaqlab.partitioner import BlockGrid, BlockRef, pad_plane
 from spaqlab.qp_model import (MEAN_OFFSET, QP_MAX, QP_MIN, build_qp_map,
                               spatial_offset, uniform_qp_map)
 from spaqlab.quality_metrics import mse_to_psnr, ssim_global
 from spaqlab.spatial_activity import DEFAULT_SCALE, compute_activity_map
-from spaqlab.video_io import G, Frame
+from spaqlab.video_io import CHANNELS, G, Frame
 
 
 def sub_blocks(b: BlockRef):
@@ -212,3 +214,15 @@ def run_cell_alone(seq, grid, mode: str, base_qp: int, cfg) -> CellResult:
                       tuple(int(b) for b in channel_bits), mse,
                       tuple(mse_to_psnr(m, seq.bit_depth) for m in mse),
                       ssim_sum / len(seq.frames), frame_bits, qp_maps)
+
+
+def qpmap_csv_text(frame: int, qmap) -> str:
+    """Frame frame's QP map as CSV text: a row per (CB, channel), CB-major,
+    CRLF line ends; raw is an int, every other number has 6 decimals."""
+    base = f"{qmap.base_qp:.6f}"
+    cols = (a.T.ravel().tolist()
+            for a in (qmap.raw, qmap.t, qmap.delta, qmap.qp, qmap.qstep))
+    rows = (f"{frame},{i // 3},{CHANNELS[i % 3]},{base},"
+            f"{raw},{t:.6f},{delta:.6f},{qp:.6f},{qstep:.6f}"
+            for i, (raw, t, delta, qp, qstep) in enumerate(zip(*cols)))
+    return "\r\n".join([",".join(QPMAP_COLUMNS), *rows, ""])

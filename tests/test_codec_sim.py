@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import encode_frame_by_cb
 from spaqlab.codec_sim import (
     INTER_DEADZONE,
+    INTER_PASS,
     INTRA_DEADZONE,
     bit_cost,
     dct2,
@@ -396,8 +397,8 @@ def test_encode_frame_invariants_property(case):
 
 
 @st.composite
-def raster_cases(draw):
-    w, h = draw(st.integers(8, 100)), draw(st.integers(8, 100))
+def raster_cases(draw, sides=st.integers(8, 100)):
+    w, h = draw(sides), draw(sides)
     bit_depth = draw(st.sampled_from((8, 10, 12)))
     grid = build_grid(w, h, draw(st.sampled_from((0, 1, 2))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -430,7 +431,7 @@ def assert_same_encoding(got, want):
 
 @settings(deadline=None, max_examples=60)
 @given(raster_cases())
-def test_diagonal_stacks_match_raster_oracle(case):
+def test_intra_diagonals_and_inter_passes_match_raster_oracle(case):
     # single-row and single-column grids, padded edges, a QP per
     # (channel, CB) and vectors reaching the padded edges
     (first, second), grid, qmap, field = case
@@ -439,3 +440,15 @@ def test_diagonal_stacks_match_raster_oracle(case):
     inter = encode_frame(second, intra.recon, qmap, grid, field)
     assert_same_encoding(
         inter, encode_frame_by_cb(second, intra.recon, qmap, grid, field))
+
+
+@settings(deadline=None, max_examples=20)
+@given(raster_cases(sides=st.integers(97, 140)))
+def test_inter_frames_in_several_raster_passes_match_raster_oracle(case):
+    # 97 px or more per side gives more CBs than one pass holds at every
+    # CB size: over 42 at 16 px, 10 at 32 px and 2 at 64 px
+    (first, second), grid, qmap, field = case
+    assert grid.n_blocks > INTER_PASS // (3 * grid.cb_size ** 2)
+    assert_same_encoding(
+        encode_frame(second, first, qmap, grid, field),
+        encode_frame_by_cb(second, first, qmap, grid, field))

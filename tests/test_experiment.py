@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import run_cell_alone
+from oracles import qpmap_csv_text, run_cell_alone
 from spaqlab import experiment, motion_model
 from spaqlab.cli import build_parser, config_from_args, main
 from spaqlab.experiment import (
@@ -23,6 +23,7 @@ from spaqlab.experiment import (
     REPORT_COLUMNS,
     ExperimentConfig,
     ExperimentReport,
+    _qpmap_csv,
     emit,
     gen_synthetic,
     run,
@@ -736,6 +737,19 @@ def test_rerun_into_out_replaces_qpmaps(tmp_path, monkeypatch, capsys):
     assert not (out / "report.csv").exists()
 
 
+@pytest.mark.parametrize("scope", CLAMP_SCOPES)
+def test_qpmap_csv_equals_the_f_string_oracle(scope):
+    # every map of a run at both QP extremes, in all four modes
+    cfg = ExperimentConfig(synthetic="moving-texture", width=100, height=70,
+                           frames=3, qps=(0, 27, 51), modes=experiment.MODES,
+                           cb_depth=2, clamp_scope=scope, seed=3)
+    maps = [m for cell in run(cfg).cells.values() for m in cell.qp_maps]
+    qps = {q for m in maps for q in m.qp.ravel().tolist()}
+    assert {0, 51} <= qps and any((m.raw < 0).any() for m in maps)
+    for n, qmap in enumerate(maps):
+        assert _qpmap_csv(n, qmap) == qpmap_csv_text(n, qmap)
+
+
 def test_qpmap_and_histogram_format_pinned(tmp_path):
     # 96x64 at 32x32 CBs: six CBs, so 18 rows per qpmap file; QP 7 gives
     # the anchor a one-digit histogram key
@@ -1042,6 +1056,28 @@ def test_cli_short_raw_file_rejected(tmp_path, capsys):
     assert not (out / "report.csv").exists()
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "fewer than the 16" in err
+
+
+def test_cli_sample_above_the_bit_depth_rejected(tmp_path, capsys):
+    # one 0x0400 word in a 10-bit file: bit 10 set, as a big-endian or
+    # 11-bit sample would have it
+    raw = tmp_path / "two.rgb"
+    write_raw(gen_synthetic("noise", 64, 64, 2, 10, seed=0), raw)
+    data = bytearray(raw.read_bytes())
+    data[-2:] = (0x0400).to_bytes(2, "little")
+    raw.write_bytes(bytes(data))
+    out = tmp_path / "o"
+    code = main([
+        "--input", str(raw), "--width", "64", "--height", "64",
+        "--bit-depth", "10", "--frames", "2", "--qp", "22",
+        "--out", str(out),
+    ])
+    assert code == 1
+    assert list(out.iterdir()) == []  # no report file
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.endswith("frame 1 holds sample 1024, above the 10-bit "
+                        "maximum 1023\n")
 
 
 def test_run_rejects_a_short_raw_file_before_reading_it(tmp_path,

@@ -133,3 +133,31 @@ def test_window_sums_reject_a_side_not_a_power_of_two(k):
     x = np.zeros((16, 16), dtype=np.int32)
     with pytest.raises(ValueError, match=f"power of two, got {k}$"):
         window_sums(x, k, x)
+
+
+@pytest.mark.parametrize("h, w, k", [(16, 16, 16), (8, 40, 8), (40, 4, 4),
+                                     (1, 9, 1), (23, 17, 2)])
+@pytest.mark.parametrize("pad", [None, 0, 3])
+def test_window_sums_in_a_buffer_larger_than_x_or_x_itself(h, w, k, pad):
+    # k == h or k == w leaves one window row or column; a buf wider than
+    # x still takes the sums in its leading h * w entries
+    x = np.random.default_rng(h * w + k).integers(0, 4096, (h, w),
+                                                  dtype=np.int32)
+    want = sliding_window_view(x, (k, k)).sum(axis=(-2, -1), dtype=np.int64)
+    if pad is None:
+        buf = x.copy()
+        got = window_sums(buf, k, buf)
+    else:
+        buf = np.full((h + pad, w + pad), -1, dtype=np.int32)
+        got = window_sums(x, k, buf)
+    assert got.shape == (h - k + 1, w - k + 1)
+    assert np.shares_memory(got, buf) and np.array_equal(got, want)
+
+
+def test_window_sums_reject_a_non_contiguous_buffer():
+    x = np.ones((16, 16), dtype=np.int32)
+    for buf in (np.empty((16, 32), np.int32)[:, ::2],
+                np.empty((32, 32), np.int32)[:16, :16],
+                np.empty((16, 16), np.int32).T):
+        with pytest.raises(ValueError, match="C-contiguous buf$"):
+            window_sums(x, 4, buf)

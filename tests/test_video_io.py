@@ -47,6 +47,25 @@ def test_10bit_first_word_is_g_sample(tmp_path):
     assert seq.frames[0].planes[0][0, 0] == 1023
 
 
+@pytest.mark.parametrize("bit_depth", [10, 12])
+def test_sample_above_the_bit_depth_rejected(tmp_path, bit_depth):
+    # the same frame written big-endian: 0x03FF reads as 0xFF03
+    path = tmp_path / "be.rgb"
+    data = bytearray(frame_byte_size(2, 2, bit_depth) * 2)
+    data[-2:] = (0x03FF).to_bytes(2, "big")
+    path.write_bytes(bytes(data))
+    with pytest.raises(RawFormatError, match=(
+            f"frame 1 holds sample 65283, above the {bit_depth}-bit "
+            f"maximum {(1 << bit_depth) - 1}$")):
+        load_raw(path, 2, 2, bit_depth)
+    # a 12-bit file read as 10-bit
+    seq = Sequence([make_frame(4, 2, 12, fill=4095)])
+    write_raw(seq, path)
+    with pytest.raises(RawFormatError, match="frame 0 holds sample 4095"):
+        load_raw(path, 4, 2, 10)
+    assert load_raw(path, 4, 2, 12).frames[0].planes.max() == 4095
+
+
 def test_truncated_file_rejected(tmp_path):
     path = tmp_path / "t.rgb"
     path.write_bytes(bytes(13))
