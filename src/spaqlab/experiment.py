@@ -449,9 +449,9 @@ def _histogram(qps) -> dict:
 def _qpmap_csv(frame: int, qmap) -> str:
     """Frame frame's QP map as CSV text: a row per (CB, channel), CB-major,
     CRLF line ends; raw is an int, every other number has 6 decimals.
-    t, delta and qp are whole, so each is an int and a literal .000000."""
+    t, delta and qp are int64, so each is an int and a literal .000000."""
     base = f"{qmap.base_qp:.6f}"
-    cols = (a.astype(np.int64).T.ravel().tolist()
+    cols = (a.T.ravel().tolist()
             for a in (qmap.raw, qmap.t, qmap.delta, qmap.qp))
     rows = (f"{frame},{i // 3},{CHANNELS[i % 3]},{base},"
             f"{raw},{t}.000000,{delta}.000000,{qp}.000000,{_QSTEP_TEXT[qp]}"

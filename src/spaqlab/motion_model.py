@@ -5,8 +5,8 @@ search on the G plane at integer-sample precision, pruned exactly by
 successive elimination; the vector is shared by all three channel
 prediction blocks. A vector (x, y) points in the direction of content
 motion: the matched reference block sits at (px - x, py - y) for a PU
-at (px, py). SADs are taken SAD_PASS window samples at a time through
-one bounded int16 buffer and summed exactly in int32.
+at (px, py). SADs are taken SAD_PASS window samples at a time, in int16
+temporaries of at most that size, and summed exactly in int32.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ def _sads(windows: np.ndarray, blocks: np.ndarray, at=None) -> np.ndarray:
     """int32 SADs of (n, n) blocks against (n, n) windows: of one block
     against each window of an (m, ..., n, n) stack, or with at = (i, y, x),
     SAD k of blocks[i[k]] against windows[y[k], x[k]]. Passes of SAD_PASS
-    samples (at least one leading entry) through one int16 buffer bound
-    every temporary; one flat int32 sum per SAD is exact, as no SAD
-    exceeds 64 * 64 * 4095 < 2**31.
+    samples (at least one leading entry) bound every int16 temporary: one
+    reused buffer for the dense form, a fresh gather per gathered pass.
+    One flat int32 sum per SAD is exact: no SAD exceeds 64*64*4095 < 2**31.
     """
     n = blocks.shape[-1]
     if at is None:

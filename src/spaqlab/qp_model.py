@@ -34,8 +34,8 @@ MAX_OFFSET = 12.0   # o_max: maximum CB-level QP offset
 G_RANGE = (MEAN_OFFSET / 2.0, MEAN_OFFSET)
 BR_RANGE = (MEAN_OFFSET, MAX_OFFSET)
 # per channel (G, B, R): the clamp window and a high-motion PU's offset
-_WINDOWS = np.array([G_RANGE, BR_RANGE, BR_RANGE])
-_HIGH_MOTION_OFFSET = np.array([MEAN_OFFSET / 2.0, MEAN_OFFSET, MEAN_OFFSET])
+_WINDOWS = np.array([G_RANGE, BR_RANGE, BR_RANGE], np.int64)
+_HIGH_MOTION_OFFSET = np.array([MEAN_OFFSET / 2, MEAN_OFFSET, MEAN_OFFSET], np.int64)
 # what the per-channel offset window applies to: "total" clamps t + raw,
 # so both masking terms share the window; "term" clamps raw, then adds t
 CLAMP_SCOPES = ("total", "term")
@@ -71,14 +71,6 @@ def qp_to_qstep(qp: int) -> float:
 _QSTEPS = np.array([qp_to_qstep(q) for q in range(QP_MIN, QP_MAX + 1)])
 
 
-def _qsteps(qp: np.ndarray) -> np.ndarray:
-    """qp_to_qstep of every entry of an array of integer-valued QPs."""
-    idx = qp.astype(np.int64)
-    if not ((idx == qp) & (idx >= QP_MIN) & (idx <= QP_MAX)).all():
-        raise ValueError(_QP_ERROR)
-    return _QSTEPS[idx]
-
-
 @dataclass
 class QpMap:
     """Per-CB QP decomposition for one frame.
@@ -86,8 +78,9 @@ class QpMap:
     base_qp is the frame-level QP of all three channels. Arrays have
     shape (3, n_blocks): channel (G, B, R), then raster CB index. raw is
     the spatial offset term, t the temporal offset, delta the clamped
-    total adjustment, qp the final QP and qstep its step size. For the
-    uniform anchor, raw = t = delta = 0.
+    total adjustment, qp the final QP and qstep its step size. raw, t,
+    delta and qp are int64 and qstep is float64. For the uniform anchor,
+    raw = t = delta = 0.
     """
 
     base_qp: int
@@ -104,10 +97,10 @@ class QpMap:
 
 def uniform_qp_map(base_qp: int, n_blocks: int) -> QpMap:
     """Anchor map: every CB of every channel uses the frame-level QP."""
-    qp = np.full((3, n_blocks), base_qp, dtype=np.float64)
-    zeros = np.zeros((3, n_blocks))
-    return QpMap(base_qp, zeros.astype(np.int64), zeros.copy(), zeros.copy(),
-                 qp, _qsteps(qp))
+    qstep = qp_to_qstep(base_qp)
+    zeros = np.zeros((3, n_blocks), dtype=np.int64)
+    return QpMap(base_qp, zeros, zeros.copy(), zeros.copy(),
+                 zeros + int(base_qp), np.full((3, n_blocks), qstep))
 
 
 def build_qp_map(base_qp: int, n_blocks: int, activity=None, magnitudes=None,
@@ -120,6 +113,7 @@ def build_qp_map(base_qp: int, n_blocks: int, activity=None, magnitudes=None,
     ablation or an intra frame). mean_magnitude is the frame mean the
     magnitudes are thresholded against; scope is one of CLAMP_SCOPES.
     """
+    qp_to_qstep(base_qp)  # rejects a base QP that is not an integer in range
     if scope not in CLAMP_SCOPES:
         raise ValueError(f"unknown clamp scope {scope!r}")
     if activity is None:
@@ -131,14 +125,14 @@ def build_qp_map(base_qp: int, n_blocks: int, activity=None, magnitudes=None,
                         for row in np.asarray(activity, float).tolist()],
                        dtype=np.int64)
     if magnitudes is None:
-        t = np.zeros((3, n_blocks))
+        t = np.zeros((3, n_blocks), dtype=np.int64)
     else:
         high = np.asarray(magnitudes, dtype=np.float64) > mean_magnitude
-        t = np.where(high, _HIGH_MOTION_OFFSET[:, None], 0.0)
+        t = np.where(high, _HIGH_MOTION_OFFSET[:, None], 0)
     lo, hi = _WINDOWS[:, :1], _WINDOWS[:, 1:]
     if scope == "total":
         delta = np.clip(t + raw, lo, hi)
     else:
         delta = t + np.clip(raw, lo, hi)
-    qp = np.clip(base_qp + delta, QP_MIN, QP_MAX)
-    return QpMap(base_qp, raw, t, delta, qp, _qsteps(qp))
+    qp = np.clip(int(base_qp) + delta, QP_MIN, QP_MAX)
+    return QpMap(base_qp, raw, t, delta, qp, _QSTEPS[qp])

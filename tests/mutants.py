@@ -1,0 +1,182 @@
+"""Mutants the tests must kill, and a runner that checks that they do.
+
+Each row of MUTANTS changes one exact text of one module in src/spaqlab
+and names the tests that must fail under the change. The runner copies
+src/, tests/ and pyproject.toml to a temporary directory outside the
+checkout and imports spaqlab from that copy. It first requires every
+named test to pass on the unmutated copy, then applies each mutant in
+turn and requires every test of its row to fail. Run it from anywhere:
+
+    python tests/mutants.py
+
+It prints one line per mutant and exits 1 if any named test survives its
+mutant (or fails unmutated). tests/test_mutants.py checks, in tier-1,
+that each old text occurs exactly once in src/spaqlab, so a refactor
+that moves a line cannot leave its row silently testing nothing.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    module: str
+    old: str
+    new: str
+    tests: tuple
+
+
+MUTANTS = (
+    # a candidate whose bound equals the best SAD is pruned
+    Mutant(
+        "motion_model",
+        "survive = bounds <= upper[:, None, None]",
+        "survive = bounds < upper[:, None, None]",
+        ("tests/test_motion_model.py::test_64px_field_matches_exhaustive_oracle_at_12_bits",
+         "tests/test_motion_model.py::test_constant_planes_tie_break_to_zero",
+         "tests/test_motion_model.py::test_field_matches_exhaustive_oracle_on_prunable_content",
+         "tests/test_motion_model.py::test_field_matches_exhaustive_oracle_property",
+         "tests/test_motion_model.py::test_field_mean_recomputable",
+         "tests/test_motion_model.py::test_full_sads_only_for_candidates_within_the_upper_bound",
+         "tests/test_motion_model.py::test_grouped_field_matches_single_pu_searches",
+         "tests/test_motion_model.py::test_grouped_field_matches_single_pu_searches_at_540p",
+         "tests/test_motion_model.py::test_identical_planes_give_zero_vector",
+         "tests/test_motion_model.py::test_planted_right_shift_recovered",
+         "tests/test_motion_model.py::test_pu_leaving_the_plane_rejected",
+         "tests/test_motion_model.py::test_search_range_past_the_plane_changes_nothing_property",
+         "tests/test_motion_model.py::test_static_sequence_yields_zero_offsets")),
+    # one motion-field memo shared by every reference of a frame
+    Mutant(
+        "experiment",
+        "fields.setdefault(None if cfg.open_loop_me else ch.key, {})",
+        "fields.setdefault(None, {})",
+        ("tests/test_acceptance.py::test_perceptual_floor",
+         "tests/test_experiment.py::test_12bit_64px_noise_run_pinned",
+         "tests/test_experiment.py::test_closed_loop_sharing_keeps_every_file",
+         "tests/test_experiment.py::test_each_coding_is_searched_from_once",
+         "tests/test_experiment.py::test_run_matches_coding_each_cell_alone",
+         "tests/test_experiment.py::test_small_run_pinned_byte_for_byte")),
+    # a motion-field memo per cell: open-loop searches are repeated
+    Mutant(
+        "experiment",
+        "fields.setdefault(None if cfg.open_loop_me else ch.key, {})",
+        "{}",
+        ("tests/test_experiment.py::test_closed_loop_sharing_keeps_every_file",
+         "tests/test_experiment.py::test_each_coding_is_searched_from_once",
+         "tests/test_experiment.py::test_open_loop_run_searches_each_frame_pair_once")),
+    # the QStep text table shifted by one QP
+    Mutant(
+        "experiment",
+        "{_QSTEP_TEXT[qp]}",
+        "{_QSTEP_TEXT[qp - 1]}",
+        ("tests/test_experiment.py::test_ablation_run_pinned_byte_for_byte",
+         "tests/test_experiment.py::test_qpmap_and_histogram_format_pinned",
+         "tests/test_experiment.py::test_qpmap_csv_equals_the_f_string_oracle",
+         "tests/test_experiment.py::test_small_run_pinned_byte_for_byte")),
+    # SSIM means over 63 samples instead of 64
+    Mutant(
+        "quality_metrics",
+        "inv = 1 / (win * win)",
+        "inv = 1 / 63",
+        ("tests/test_experiment.py::test_12bit_64px_noise_run_pinned",
+         "tests/test_experiment.py::test_ablation_run_pinned_byte_for_byte",
+         "tests/test_experiment.py::test_small_run_pinned_byte_for_byte",
+         "tests/test_quality_metrics.py::test_channel_replaced_by_its_mean",
+         "tests/test_quality_metrics.py::test_constant_offset_drops_luminance_only",
+         "tests/test_quality_metrics.py::test_ssim_matches_brute_force_oracle",
+         "tests/test_quality_metrics.py::test_ssim_plane_equals_integral_image_expression_property",
+         "tests/test_quality_metrics.py::test_ssim_plane_exact_at_near_max_12bit_samples")),
+    # build_qp_map clips an out-of-range base QP instead of rejecting it
+    Mutant(
+        "qp_model",
+        "    qp_to_qstep(base_qp)  # rejects a base QP that is not an "
+        "integer in range\n",
+        "",
+        ("tests/test_qp_model.py::test_uniform_map_is_flat",)),
+)
+
+_OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR|SKIPPED|XFAIL|XPASS) (\S+)",
+                      re.MULTILINE)
+
+
+def _env(root: Path) -> dict:
+    # no bytecode cache: a mutant of the same size written within the
+    # second of its module's cached bytecode would otherwise not be seen
+    return dict(os.environ, PYTHONPATH=str(root / "src"),
+                PYTHONDONTWRITEBYTECODE="1")
+
+
+def run_tests(root: Path, ids) -> dict:
+    """Run pytest on ids inside root, importing spaqlab from root/src.
+    Returns {test id: outcome}, an id of a parametrized test standing for
+    its worst case (a failed case counts as the test failing)."""
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rA", "--tb=no",
+         "-p", "no:cacheprovider", *ids],
+        cwd=root, env=_env(root), capture_output=True, text=True).stdout
+    outcomes = {}
+    for outcome, node in _OUTCOME.findall(out):
+        for test in ids:
+            if node == test or node.startswith(test + "["):
+                if outcomes.get(test) not in ("FAILED", "ERROR"):
+                    outcomes[test] = outcome
+    return outcomes
+
+
+def imported_from(root: Path) -> str:
+    """spaqlab.__file__ as a test run inside root sees it."""
+    return subprocess.run(
+        [sys.executable, "-c", "import spaqlab; print(spaqlab.__file__)"],
+        cwd=root, env=_env(root), capture_output=True, text=True,
+        check=True).stdout.strip()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="spaqlab-mutants-") as tmp:
+        root = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__")
+        shutil.copytree(ROOT / "src", root / "src", ignore=skip)
+        shutil.copytree(ROOT / "tests", root / "tests", ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", root)
+        found = Path(imported_from(root)).resolve()
+        if root.resolve() not in found.parents:
+            print(f"spaqlab imports from {found}, not from the copy")
+            return 1
+        ids = sorted({t for m in MUTANTS for t in m.tests})
+        outcomes = run_tests(root, ids)
+        bad = [t for t in ids if outcomes.get(t) != "PASSED"]
+        for t in bad:
+            print(f"unmutated: {t} {outcomes.get(t, 'not run')}")
+        if bad:
+            return 1
+        survivors = 0
+        for m in MUTANTS:
+            path = root / "src" / "spaqlab" / f"{m.module}.py"
+            text = path.read_text()
+            path.write_text(text.replace(m.old, m.new, 1))
+            try:
+                outcomes = run_tests(root, m.tests)
+            finally:
+                path.write_text(text)
+            alive = [t for t in m.tests
+                     if outcomes.get(t) not in ("FAILED", "ERROR")]
+            survivors += len(alive)
+            print(f"{m.module}: {m.new.strip() or 'deleted line'!r}: "
+                  f"{len(m.tests) - len(alive)}/{len(m.tests)} tests fail")
+            for t in alive:
+                print(f"  survives: {t} {outcomes.get(t, 'not run')}")
+        return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,7 +4,8 @@ One CB, one channel, one value at a time, written straight from the
 equations. The array paths in spaqlab.spatial_activity and
 spaqlab.qp_model must reproduce them entry for entry; encode_frame_by_cb
 codes one CB at a time in raster order, and spaqlab.codec_sim's
-anti-diagonal stacks must give its bits and reconstruction exactly.
+anti-diagonal stacks (intra frames) and raster passes (inter frames)
+must give its bits and reconstruction exactly.
 run_cell_alone codes one whole cell after another, and
 spaqlab.experiment.run's frame-major loop, which shares the coding of
 equal QP chains, must give every cell's figures and QP maps exactly.

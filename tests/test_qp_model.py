@@ -139,12 +139,16 @@ def test_uniform_map_is_flat():
     assert (qmap.delta == 0).all()
     assert (qmap.qstep == qp_to_qstep(27)).all()
     assert qmap.qp.shape == (3, 6) and (qmap.raw == 0).all()
+    for key in ("raw", "t", "delta", "qp"):
+        assert getattr(qmap, key).dtype == np.int64, key
     # the array lookup equals qp_to_qstep on every legal QP
     for q in range(52):
         assert (uniform_qp_map(q, 3).qstep == qp_to_qstep(q)).all()
-    for bad in (27.5, 52, -1):
-        with pytest.raises(ValueError):
-            uniform_qp_map(bad, 3)
+    # both builders reject the base QPs that qp_to_qstep rejects
+    for bad in (27.5, 52, 60, -1, -10):
+        for builder in (uniform_qp_map, build_qp_map):
+            with pytest.raises(ValueError, match="integers"):
+                builder(bad, 3)
 
 
 @st.composite
@@ -250,7 +254,8 @@ def test_build_qp_map_matches_scalar_oracle():
                     got = build_qp_map(base, n, activity=a, magnitudes=m,
                                        mean_magnitude=vmean, scope=scope)
                     want = scalar_qp_map(base, n, a, m, vmean, scope)
-                    assert got.raw.dtype == np.int64
+                    for key in ("raw", "t", "delta", "qp"):
+                        assert getattr(got, key).dtype == np.int64, key
                     assert got.base_qp == base
                     for key, value in want.items():
                         assert np.array_equal(getattr(got, key), value), key
