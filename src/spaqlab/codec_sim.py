@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .motion_model import MotionField
-from .partitioner import BlockGrid, pad_plane
+from .partitioner import BlockGrid, pad_frame
 from .qp_model import QpMap
 from .video_io import Frame
 
@@ -97,7 +97,7 @@ def bit_cost(levels: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EncodedFrame:
-    recon: Frame
+    recon: Frame  # padded to the grid
     bits: int
     channel_bits: tuple
     sse: tuple  # per-channel squared error over the true WxH region
@@ -124,6 +124,12 @@ def encode_frame(frame: Frame, ref: Frame | None, qp_map: QpMap,
     vector from `motion`, which an inter frame requires. Each CB is coded
     as one (3, S, S) block of G, B and R with the channels' own QSteps,
     in stacks of anti-diagonals (intra) or raster passes (inter).
+
+    frame and ref are read through their padded stores (pad_frame), so
+    a frame padded once serves every coding of it. The reconstruction is
+    coded into a padded store whose padding is then overwritten by edge
+    replication: it is pad_plane of the cropped samples, and the next
+    frame predicts and searches from it as it is.
     """
     if qp_map.n_blocks != grid.n_blocks:
         raise ValueError(
@@ -137,15 +143,15 @@ def encode_frame(frame: Frame, ref: Frame | None, qp_map: QpMap,
     mid = 1 << (frame.bit_depth - 1)
     qsteps = qp_map.qstep.T.reshape(n_rows, n_cols, 3, 1, 1)
 
-    padded = pad_plane(frame.planes, grid)
-    recon_planes = np.empty_like(padded)
+    frame = pad_frame(frame, grid)
+    recon_planes = np.empty_like(frame.padded)
     # (rows, cols, 3, S, S) views of the C-contiguous padded planes
     src, recon = (p.reshape(3, n_rows, size, n_cols, size)
-                  .transpose(1, 3, 0, 2, 4) for p in (padded, recon_planes))
+                  .transpose(1, 3, 0, 2, 4) for p in (frame.padded, recon_planes))
     if not intra:
         # every SxS block of the padded reference, (3, H-S+1, W-S+1, S, S)
         windows = np.lib.stride_tricks.sliding_window_view(
-            pad_plane(ref.planes, grid), (size, size), axis=(1, 2))
+            pad_frame(ref, grid).padded, (size, size), axis=(1, 2))
         # each CB's prediction corner (y, x) in the padded reference
         ry, rx = (np.indices((n_rows, n_cols)) * size
                   - motion.vectors.T[::-1].reshape(2, n_rows, n_cols))
@@ -174,11 +180,16 @@ def encode_frame(frame: Frame, ref: Frame | None, qp_map: QpMap,
         channel_bits += bit_cost(levels).sum(axis=0)
         rec = np.rint(pred + idct2(dequantize(levels, qstep)))
         recon[rows, cols] = np.clip(rec, 0, frame.max_value)
-    cropped = recon_planes[:, : frame.height, : frame.width]
-    # |diff| <= 4095 at 12 bits, so each square is exact in int32
-    diff = np.subtract(frame.planes, cropped)
-    sse = np.square(diff, out=diff).sum(axis=(1, 2), dtype=np.int64)
-
-    recon_frame = Frame(frame.width, frame.height, frame.bit_depth, cropped)
+    h, w = frame.height, frame.width
+    recon_planes[:, :h, w:] = recon_planes[:, :h, w - 1: w]
+    recon_planes[:, h:] = recon_planes[:, h - 1: h]
+    recon_frame = Frame(w, h, frame.bit_depth, None, recon_planes)
+    # in strips of CB rows; |diff| <= 4095 at 12 bits, so each square is
+    # exact in int32
+    sse = np.zeros(3, dtype=np.int64)
+    for y in range(0, h, size):
+        diff = np.subtract(frame.planes[:, y: y + size],
+                           recon_frame.planes[:, y: y + size])
+        sse += np.square(diff, out=diff).sum(axis=(1, 2), dtype=np.int64)
     return EncodedFrame(recon_frame, int(channel_bits.sum()),
                         tuple(channel_bits.tolist()), tuple(sse.tolist()))

@@ -28,14 +28,16 @@ import numpy as np
 
 from .codec_sim import INTER_DEADZONE, INTRA_DEADZONE, encode_frame
 from .motion_model import DEFAULT_SEARCH_RANGE, estimate_motion_field
-from .partitioner import CB_SIZE_BY_DEPTH, build_grid, pad_plane
+from .partitioner import CB_SIZE_BY_DEPTH, build_grid, pad_frame
 from .qp_model import (CLAMP_SCOPES, QP_MAX, QP_MIN, build_qp_map, qp_to_qstep,
                        uniform_qp_map)
 from .quality_metrics import (SSIM_WINDOW, mse_to_psnr, pct_delta, ssim_global,
                               ssim_sums)
 from .spatial_activity import DEFAULT_SCALE, compute_activity_map
 from .video_io import (CHANNELS, G, SUPPORTED_BIT_DEPTHS, Frame, Sequence,
-                       check_ints, is_int, load_raw)
+                       check_ints, is_int, raw_frames)
+# not called here: perfbench/tracer.py wraps experiment.load_raw by name
+from .video_io import load_raw  # noqa: F401
 
 MODES = ("anchor-uniform", "spaq", "spatial-only", "temporal-only")
 SYNTHETIC_KINDS = ("noise", "gradient", "moving-texture", "mixed")
@@ -158,9 +160,24 @@ def gen_synthetic(kind: str, width: int = 128, height: int = 128,
 
     The arguments pass a run config's checks before any sample is drawn.
     """
+    return Sequence(list(synthetic_frames(kind, width, height, frames,
+                                          bit_depth, seed, shift)))
+
+
+def synthetic_frames(kind: str, width: int = 128, height: int = 128,
+                     frames: int = 16, bit_depth: int = 8, seed: int = 0,
+                     shift=(3, 4)):
+    """gen_synthetic's frames, generated one at a time as they are taken.
+
+    The arguments are checked here, before the iterator draws a sample.
+    """
     ExperimentConfig(synthetic=kind, width=width, height=height,
                      frames=frames, bit_depth=bit_depth, seed=seed,
                      shift=shift).validate()
+    return _draw_frames(kind, width, height, frames, bit_depth, seed, shift)
+
+
+def _draw_frames(kind, width, height, frames, bit_depth, seed, shift):
     rng = np.random.default_rng(seed)
     maxv = (1 << bit_depth) - 1
     mid = 1 << (bit_depth - 1)
@@ -177,26 +194,29 @@ def gen_synthetic(kind: str, width: int = 128, height: int = 128,
     def texture(h, w):
         return uniform(mid - amp, mid + amp, h, w)
 
-    out = []
+    def frame(planes, *pastes):
+        # a Frame of planes with each (content, y, x) pasted over; the
+        # generator binds no frame's samples, so none outlives its frame
+        for content, y, x in pastes:
+            _, h, w = content.shape
+            planes[:, y: y + h, x: x + w] = content
+        return Frame(width, height, bit_depth, planes)
+
     if kind == "noise":
         for _ in range(frames):
-            out.append(Frame(width, height, bit_depth,
-                             uniform(0, maxv, height, width)))
+            yield frame(uniform(0, maxv, height, width))
     elif kind == "gradient":
         bases = _ramps(width, height, low, max(1, maxv - 2 * low - frames))
         for n in range(frames):
             # the brightening saturates once a long run reaches maxv
-            out.append(Frame(width, height, bit_depth,
-                             np.minimum(bases + n, maxv)))
+            yield frame(np.minimum(bases + n, maxv))
     elif kind == "moving-texture":
         bgs = _ramps(width, height, low, maxv // 4)
         patch = moving_patch_rect(width, height, frames, shift, 0)[2]
         patches = texture(patch, patch)
         for n in range(frames):
             px, py, _ = moving_patch_rect(width, height, frames, shift, n)
-            planes = bgs.copy()
-            planes[:, py: py + patch, px: px + patch] = patches
-            out.append(Frame(width, height, bit_depth, planes))
+            yield frame(bgs.copy(), (patches, py, px))
     else:  # mixed
         hh, hw = height // 2, width // 2
         patch = max(8, min(24, min(hh, hw) // 2))
@@ -205,12 +225,9 @@ def gen_synthetic(kind: str, width: int = 128, height: int = 128,
         for n in range(frames):
             px = max(0, min(hw // 4 + n, width - hw + hw // 4 - patch))
             py = min(hh + hh // 4 + 2 * n, height - patch)
-            planes = base.copy()
             # top-right quadrant: dense texture, refreshed every frame
-            planes[:, :hh, hw:] = texture(hh, width - hw)
-            planes[:, py: py + patch, px: px + patch] = patches
-            out.append(Frame(width, height, bit_depth, planes))
-    return Sequence(out)
+            yield frame(base.copy(), (texture(hh, width - hw), 0, hw),
+                        (patches, py, px))
 
 
 @dataclass
@@ -293,42 +310,46 @@ class _Chain:
         if fld is not None:
             self.prev_mean_mag = fld.mean_magnitude
 
-    def result(self, seq: Sequence) -> CellResult:
-        samples = len(seq.frames) * seq.width * seq.height
-        mse = tuple(float(s) / samples for s in self.sse)
+    def result(self, samples: int, bit_depth: int) -> CellResult:
+        """The cell's result over its frames of samples samples each."""
+        frames = len(self.frame_bits)
+        mse = tuple(float(s) / (frames * samples) for s in self.sse)
         return CellResult(self.mode, self.base_qp, sum(self.frame_bits),
                           tuple(int(b) for b in self.channel_bits), mse,
-                          tuple(mse_to_psnr(m, seq.bit_depth) for m in mse),
-                          self.ssim_sum / len(seq.frames), self.frame_bits,
+                          tuple(mse_to_psnr(m, bit_depth) for m in mse),
+                          self.ssim_sum / frames, self.frame_bits,
                           self.qp_maps)
 
 
-def _run_cells(seq: Sequence, grid, cells, cfg: ExperimentConfig) -> list:
-    """Code cells, a list of (mode, base QP), frame-major: frame n of every
-    cell before frame n + 1 of any. Returns their CellResults in order.
+def _run_cells(frames, grid, cells, cfg: ExperimentConfig) -> list:
+    """Code cells, a list of (mode, base QP), frame-major over the frames
+    an iterable yields: frame n of every cell before frame n + 1 of any.
+    Returns their CellResults in order.
 
-    The source's padded G plane and, if any cell is spatial, its activity
-    map are made once per frame. encode_frame reads only the frame, the
-    cell's reference, its QP array and its motion field, and the field
-    follows from the frame and the reference (or the previous source). So
-    cells whose QP arrays agree on frames 0..n hold the same
+    Each source frame is padded once (pad_frame), and its activity map,
+    if any cell is spatial, is made once. encode_frame reads only the
+    frame, the cell's reference, its QP array and its motion field, and
+    the field follows from the frame and the reference (or the previous
+    source). So cells whose QP arrays agree on frames 0..n hold the same
     reconstruction of frame n: each distinct chain of QP arrays is coded
     and scored once per frame. Cells that predict from one coding of frame
     n - 1 share a search, all cells do in open loop, and two codings with
-    equal reconstructions are searched twice.
+    equal reconstructions are searched twice. Frame n - 1's source is
+    kept while frame n is coded only in open loop, for its search.
     """
     chains = [_Chain(mode, base_qp) for mode, base_qp in cells]
     spatial = any(ch.use_spatial for ch in chains)
-    for n, frame in enumerate(seq.frames):
-        src = pad_plane(frame.planes[G], grid)
+    prev = None
+    for frame in frames:
+        frame = pad_frame(frame, grid)
+        cur = frame.padded[G]
         act = compute_activity_map(frame, grid).a if spatial else None
         # store: (index, EncodedFrame) per (index predicted from, QP array);
         # fields: a search memo per index predicted from (one in open loop)
         store, fields = {}, {}
         for ch in chains:
             fld = None if ch.ref is None else estimate_motion_field(
-                src, pad_plane((seq.frames[n - 1] if cfg.open_loop_me
-                                else ch.ref).planes[G], grid), grid,
+                cur, (prev if cfg.open_loop_me else ch.ref).padded[G], grid,
                 cfg.search_range,
                 fields.setdefault(None if cfg.open_loop_me else ch.key, {}))
             qmap = ch.qp_map(act, fld, grid.n_blocks, cfg)
@@ -343,17 +364,21 @@ def _run_cells(seq: Sequence, grid, cells, cfg: ExperimentConfig) -> list:
         sums = ssim_sums(frame)
         scores = [ssim_global(frame, enc.recon, sums)
                   for _, enc in store.values()]
-        del sums
+        # without cur, frame n's padded store is freed once frame n + 1 is
+        # read (in closed loop)
+        del sums, cur
         for ch in chains:
             ch.ssim_sum += scores[ch.key]
-    return [ch.result(seq) for ch in chains]
+        prev = frame if cfg.open_loop_me else None
+    return [ch.result(grid.width * grid.height, frame.bit_depth)
+            for ch in chains]
 
 
 def run_cell(seq: Sequence, grid, mode: str, base_qp: int,
              cfg: ExperimentConfig) -> CellResult:
     """Code a whole sequence in one mode at one base QP: run()'s
     frame-major loop over this one cell."""
-    return _run_cells(seq, grid, [(mode, base_qp)], cfg)[0]
+    return _run_cells(seq.frames, grid, [(mode, base_qp)], cfg)[0]
 
 
 @dataclass
@@ -364,12 +389,21 @@ class ExperimentReport:
     cells: dict = field(default_factory=dict)
 
 
-def load_sequence(cfg: ExperimentConfig) -> Sequence:
+def input_frames(cfg: ExperimentConfig):
+    """The config's input frames, read or generated one at a time as they
+    are taken. A raw file's size and frame count are checked here, before
+    any sample is read; a sample above the bit depth raises when its
+    frame is read."""
     if cfg.synthetic is not None:
-        return gen_synthetic(cfg.synthetic, cfg.width, cfg.height, cfg.frames,
-                             cfg.bit_depth, cfg.seed, cfg.shift)
-    return load_raw(cfg.input_path, cfg.width, cfg.height, cfg.bit_depth,
-                    cfg.frames)
+        return synthetic_frames(cfg.synthetic, cfg.width, cfg.height,
+                                cfg.frames, cfg.bit_depth, cfg.seed, cfg.shift)
+    return raw_frames(cfg.input_path, cfg.width, cfg.height, cfg.bit_depth,
+                      cfg.frames)
+
+
+def load_sequence(cfg: ExperimentConfig) -> Sequence:
+    """Every input frame of the config, held at once."""
+    return Sequence(list(input_frames(cfg)))
 
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
@@ -380,19 +414,20 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     report files to cfg.out_dir, if set, which is created before any
     input is read. The cells are coded frame-major, and cells whose QP
     arrays agree on frames 0..n share one encode and one SSIM of frame n.
-    The run holds its input, the reconstructions of the previous frame
-    (one per distinct chain of QP arrays, at most one per cell) and those
-    of the frame being coded, and the motion fields of one frame; none is
-    kept once run returns, and no padded source plane outlives its frame.
+    The input is read or generated one frame at a time. While frame n is
+    coded, the run holds frame n (padded once) and, in open loop, frame
+    n - 1; the reconstructions of frame n - 1 (one per distinct chain of
+    QP arrays, at most one per cell) and those of frame n; and the motion
+    fields of frame n. None is kept once run returns.
     Cells predicting from one coding of frame n - 1 share a search, all do
     in open loop, and two codings that reconstruct alike search twice.
     """
     cfg.validate()
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
-    seq = load_sequence(cfg)
+    frames = input_frames(cfg)
     label = cfg.label or cfg.synthetic or os.path.basename(cfg.input_path)
-    grid = build_grid(seq.width, seq.height, cfg.cb_depth)
+    grid = build_grid(cfg.width, cfg.height, cfg.cb_depth)
 
     modes = list(cfg.modes)
     if ANCHOR_MODE not in modes:
@@ -406,7 +441,7 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
         "inter_deadzone": INTER_DEADZONE, "channel_qp_offsets": (0, 0, 0)}
     report = ExperimentReport(label, echo)
     cells = [(mode, qp) for qp in cfg.qps for mode in modes]
-    report.cells = dict(zip(cells, _run_cells(seq, grid, cells, cfg)))
+    report.cells = dict(zip(cells, _run_cells(frames, grid, cells, cfg)))
     for (mode, qp), cell in report.cells.items():
         cell.set_deltas(report.cells[ANCHOR_MODE, qp])
     if cfg.out_dir is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .video_io import check_ints
+from .video_io import Frame, check_ints
 
 CB_SIZE_BY_DEPTH = {0: 64, 1: 32, 2: 16}
 
@@ -86,6 +86,16 @@ def pad_plane(plane: np.ndarray, grid: BlockGrid) -> np.ndarray:
         return plane
     lead = ((0, 0),) * (plane.ndim - 2)
     return np.pad(plane, lead + ((0, ph - h), (0, pw - w)), mode="edge")
+
+
+def pad_frame(frame: Frame, grid: BlockGrid) -> Frame:
+    """frame padded to the grid: the same samples with padded set to
+    pad_plane(frame.planes, grid), or frame itself if it holds that."""
+    shape = (3, grid.padded_height, grid.padded_width)
+    if frame.padded is not None and frame.padded.shape == shape:
+        return frame
+    padded = np.ascontiguousarray(pad_plane(frame.planes, grid))
+    return Frame(frame.width, frame.height, frame.bit_depth, None, padded)
 
 
 def window_sums(x: np.ndarray, k: int, buf: np.ndarray) -> np.ndarray:

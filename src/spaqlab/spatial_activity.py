@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partitioner import BlockGrid, pad_plane
+from .partitioner import BlockGrid, pad_frame
 from .video_io import Frame
 
 DEFAULT_SCALE = 2.0
@@ -48,11 +48,12 @@ class ActivityMap:
 def compute_activity_map(frame: Frame, grid: BlockGrid) -> ActivityMap:
     """Activity map for one frame over a block grid, at scale DEFAULT_SCALE.
 
-    Planes are edge-padded to the grid before analysis. Sub-block sums
-    are exact int64, so each variance is one rounding of an exact ratio.
+    The analysis reads the frame's padded store (pad_frame). Sub-block
+    sums are exact int64, so each variance is one rounding of an exact
+    ratio.
     """
     half = grid.cb_size // 2
-    padded = pad_plane(frame.planes, grid)
+    padded = pad_frame(frame, grid).padded
     rows, cols = padded.shape[1] // half, padded.shape[2] // half
     tiles = padded.reshape(3, rows, half, cols, half)
     # a 12-bit square fits in int32; the sums are exact in int64

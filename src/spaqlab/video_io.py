@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import stat
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,23 +46,29 @@ def sample_dtype(bit_depth: int) -> np.dtype:
 class Frame:
     """One picture: its G, B and R samples as one (3, height, width) array.
 
-    planes is C-contiguous int32, indexed channel first (planes[G] is the
-    G plane). A sequence of three (height, width) planes is stacked into
-    that array; any dtype other than int32 is rejected, since the codec
-    subtracts samples and a narrow unsigned type would wrap around.
+    planes is int32, indexed channel first (planes[G] is the G plane). A
+    sequence of three (height, width) planes is stacked into one
+    C-contiguous array; any dtype other than int32 is rejected, since the
+    codec subtracts samples and a narrow unsigned type would wrap around.
+    A padded frame (partitioner.pad_frame, and every reconstruction) is
+    made from padded alone, with planes None: padded is a C-contiguous
+    int32 (3, H, W) array equal to pad_plane(planes) at a grid's padded
+    size, and planes is its top-left (height, width) corner, a view.
     """
 
     width: int
     height: int
     bit_depth: int
     planes: np.ndarray
+    padded: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         check_ints(width=self.width, height=self.height,
                    bit_depth=self.bit_depth)
         if self.bit_depth not in SUPPORTED_BIT_DEPTHS:
             raise ValueError(f"unsupported bit depth {self.bit_depth}")
-        planes = np.ascontiguousarray(self.planes)
+        planes = (np.ascontiguousarray(self.planes) if self.padded is None
+                  else self.padded[:, : self.height, : self.width])
         object.__setattr__(self, "planes", planes)
         if planes.dtype != np.int32:
             raise ValueError(f"samples must be int32, got {planes.dtype}")
@@ -114,16 +120,18 @@ def frame_byte_size(width: int, height: int, bit_depth: int) -> int:
     return 3 * width * height * sample_dtype(bit_depth).itemsize
 
 
-def load_raw(path, width: int, height: int, bit_depth: int,
-             frames: int | None = None) -> Sequence:
-    """Read a raw planar G,B,R file into a Sequence.
+def raw_frames(path, width: int, height: int, bit_depth: int,
+               frames: int | None = None):
+    """Check a raw planar G,B,R file, then return an iterator that reads
+    its frames one at a time.
 
-    Returns exactly the frames count from the start of the file, or every
-    frame when frames is None. Raises RawFormatError, before a byte is
-    read, when path is not a regular file, when the file size is not a
-    positive whole number of frames or when it holds fewer frames than
-    asked for; and, naming the frame, when a sample exceeds bit_depth
-    bits (a big-endian file, or a 12-bit file read as 10-bit).
+    The iterator yields exactly the frames count from the start of the
+    file, or every frame when frames is None. Raises RawFormatError here,
+    before a byte is read, when path is not a regular file, when the file
+    size is not a positive whole number of frames or when it holds fewer
+    frames than asked for; the iterator raises it, naming the frame, when
+    a sample of that frame exceeds bit_depth bits (a big-endian file, or
+    a 12-bit file read as 10-bit).
     """
     check_ints(width=width, height=height, bit_depth=bit_depth)
     if bit_depth not in SUPPORTED_BIT_DEPTHS:
@@ -150,21 +158,34 @@ def load_raw(path, width: int, height: int, bit_depth: int,
     if frames > available:
         raise RawFormatError(f"{path} holds {available} frames, fewer than "
                              f"the {frames} requested")
+    return _read_frames(path, width, height, bit_depth, frames)
 
-    dtype, top = sample_dtype(bit_depth), (1 << bit_depth) - 1
 
-    out = []
+def _read_frames(path, width, height, bit_depth, frames):
+    # the generator binds no frame or sample array of its own, so none
+    # outlives the frame its consumer holds
     with open(path, "rb") as fh:
         for n in range(frames):
-            raw = np.fromfile(fh, dtype=dtype, count=3 * width * height)
-            planes = raw.astype(np.int32).reshape(3, height, width)
-            try:  # Frame checks every sample against the bit depth
-                out.append(Frame(width, height, bit_depth, planes))
-            except ValueError:
-                raise RawFormatError(
-                    f"{path}: frame {n} holds sample {int(planes.max())}, "
-                    f"above the {bit_depth}-bit maximum {top}") from None
-    return Sequence(out)
+            yield _read_frame(fh, path, n, width, height, bit_depth)
+
+
+def _read_frame(fh, path, n, width, height, bit_depth) -> Frame:
+    raw = np.fromfile(fh, dtype=sample_dtype(bit_depth),
+                      count=3 * width * height)
+    planes = raw.astype(np.int32).reshape(3, height, width)
+    try:  # Frame checks every sample against the bit depth
+        return Frame(width, height, bit_depth, planes)
+    except ValueError:
+        raise RawFormatError(
+            f"{path}: frame {n} holds sample {int(planes.max())}, above "
+            f"the {bit_depth}-bit maximum {(1 << bit_depth) - 1}") from None
+
+
+def load_raw(path, width: int, height: int, bit_depth: int,
+             frames: int | None = None) -> Sequence:
+    """Read a raw planar G,B,R file into a Sequence: every frame that
+    raw_frames yields, with its checks."""
+    return Sequence(list(raw_frames(path, width, height, bit_depth, frames)))
 
 
 def write_raw(seq: Sequence, path) -> None:

@@ -103,6 +103,14 @@ MUTANTS = (
         "integer in range\n",
         "",
         ("tests/test_qp_model.py::test_uniform_map_is_flat",)),
+    # a reconstruction's bottom padding repeats the row above its last
+    Mutant(
+        "codec_sim",
+        "recon_planes[:, h:] = recon_planes[:, h - 1: h]",
+        "recon_planes[:, h:] = recon_planes[:, h - 2: h - 1]",
+        ("tests/test_codec_sim.py::test_reconstruction_store_is_the_padded_reference",
+         "tests/test_experiment.py::test_ablation_run_pinned_byte_for_byte",
+         "tests/test_experiment.py::test_run_matches_coding_each_cell_alone")),
 )
 
 _OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR|SKIPPED|XFAIL|XPASS) (\S+)",

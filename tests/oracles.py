@@ -6,9 +6,10 @@ spaqlab.qp_model must reproduce them entry for entry; encode_frame_by_cb
 codes one CB at a time in raster order, and spaqlab.codec_sim's
 anti-diagonal stacks (intra frames) and raster passes (inter frames)
 must give its bits and reconstruction exactly.
-run_cell_alone codes one whole cell after another, and
-spaqlab.experiment.run's frame-major loop, which shares the coding of
-equal QP chains, must give every cell's figures and QP maps exactly.
+run_cell_alone codes one whole cell after another, padding every
+reference afresh, and spaqlab.experiment.run's frame-major loop, which
+shares the coding of equal QP chains and predicts from each coding's
+padded store, must give every cell's figures and QP maps exactly.
 qpmap_csv_text formats every number of a QP map with its own f-string,
 and spaqlab.experiment._qpmap_csv's table-driven rows must equal it.
 """
@@ -205,7 +206,9 @@ def run_cell_alone(seq, grid, mode: str, base_qp: int, cfg) -> CellResult:
         sse += np.asarray(enc.sse)
         ssim_sum += ssim_global(frame, enc.recon)
         qp_maps.append(qmap)
-        recon_prev = enc.recon
+        # an unpadded copy, so the next frame pads its reference afresh
+        recon_prev = Frame(enc.recon.width, enc.recon.height,
+                           enc.recon.bit_depth, enc.recon.planes)
         if fld is not None:
             prev_mean_mag = fld.mean_magnitude
 

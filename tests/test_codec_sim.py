@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import encode_frame_by_cb
+from spaqlab import partitioner
 from spaqlab.codec_sim import (
     INTER_DEADZONE,
     INTER_PASS,
@@ -18,7 +19,7 @@ from spaqlab.codec_sim import (
     quantize,
 )
 from spaqlab.motion_model import estimate_motion_field, motion_field
-from spaqlab.partitioner import build_grid, pad_plane
+from spaqlab.partitioner import build_grid, pad_frame, pad_plane
 from spaqlab.qp_model import QpMap, qp_to_qstep, uniform_qp_map
 from spaqlab.video_io import Frame
 
@@ -300,6 +301,40 @@ def test_inter_frame_needs_matching_motion_field():
     on_edge = [(-64, -32), (0, -32), (0, -32), (0, 0), (32, 32), (64, 0)]
     enc = encode_frame(padded, padded, qmap, grid, motion_field(on_edge))
     assert enc.recon.planes.shape == padded.planes.shape
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("width, height", [(72, 40), (100, 70)])
+def test_reconstruction_store_is_the_padded_reference(monkeypatch, width,
+                                                      height, depth):
+    # on intra and inter frames, the padded store of the reconstruction
+    # is pad_plane of its cropped samples, bit for bit. The next frame
+    # searches and codes from that store without padding anything, and
+    # gets what a cropped copy padded afresh gives.
+    rng = np.random.default_rng(depth)
+    frames = [Frame(width, height, 10, rng.integers(
+        0, 1 << 10, (3, height, width), dtype=np.int32)) for _ in range(3)]
+    grid = build_grid(width, height, depth)
+    assert (grid.padded_height, grid.padded_width) != (height, width)
+    qmap = uniform_qp_map(27, grid.n_blocks)
+    padded = [pad_frame(f, grid) for f in frames]
+    monkeypatch.setattr(partitioner, "pad_plane", lambda *a: pytest.fail(
+        "a padded frame or reconstruction was padded again"))
+    ref = encode_frame(padded[0], None, qmap, grid)
+    for frame, plain in zip(padded[1:], frames[1:]):
+        assert ref.recon.padded.flags.c_contiguous
+        assert np.array_equal(ref.recon.padded,
+                              pad_plane(ref.recon.planes, grid))
+        field = estimate_motion_field(frame.padded[0], ref.recon.padded[0],
+                                      grid, 8)
+        enc = encode_frame(frame, ref.recon, qmap, grid, field)
+        with monkeypatch.context() as patch:
+            patch.setattr(partitioner, "pad_plane", pad_plane)
+            fresh = Frame(width, height, 10, ref.recon.planes.copy())
+            assert_same_encoding(enc, encode_frame(plain, fresh, qmap, grid,
+                                                   field))
+        ref = enc
+    assert np.array_equal(ref.recon.padded, pad_plane(ref.recon.planes, grid))
 
 
 def test_partial_frame_encodes_and_crops():

@@ -7,6 +7,7 @@ import os
 import re
 import shutil
 import tempfile
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import qpmap_csv_text, run_cell_alone
-from spaqlab import experiment, motion_model
+from spaqlab import experiment, motion_model, partitioner
 from spaqlab.cli import build_parser, config_from_args, main
 from spaqlab.experiment import (
     ANCHOR_MODE,
@@ -34,7 +35,7 @@ from spaqlab.partitioner import CB_SIZE_BY_DEPTH, build_grid, pad_plane
 from spaqlab.qp_model import CLAMP_SCOPES, QP_MAX, QP_MIN, qp_to_qstep
 from spaqlab.spatial_activity import compute_activity_map
 from spaqlab.video_io import (G, SUPPORTED_BIT_DEPTHS, RawFormatError,
-                              Sequence, write_raw)
+                              Sequence, frame_byte_size, write_raw)
 
 
 def small_cfg(**kw):
@@ -378,27 +379,133 @@ def test_row_order_follows_modes(tmp_path):
     assert [(r["mode"], r["qp"]) for r in records] == expected
 
 
+def watch_codings(monkeypatch, check):
+    """Route run()'s pad_frame and encode_frame calls through recorders.
+
+    Each pad_frame call pads the next source frame: sources gets weak
+    references to the frame it was given and to the padded store it
+    returned. Before each encode_frame, check(n, sources, recons) runs,
+    n being the frame coded; recons holds (frame index, weak reference to
+    the reconstruction's padded store) for every coding so far. Returns
+    (sources, recons).
+    """
+    sources, recons = [], []
+    real_pad, real_encode = experiment.pad_frame, experiment.encode_frame
+
+    def pad_frame(frame, grid):
+        padded = real_pad(frame, grid)
+        sources.append((weakref.ref(frame.planes), weakref.ref(padded.padded)))
+        return padded
+
+    def encode_frame(*args):
+        n = len(sources) - 1
+        check(n, sources, recons)
+        enc = real_encode(*args)
+        recons.append((n, weakref.ref(enc.recon.padded)))
+        return enc
+
+    monkeypatch.setattr(experiment, "pad_frame", pad_frame)
+    monkeypatch.setattr(experiment, "encode_frame", encode_frame)
+    return sources, recons
+
+
 def test_run_holds_reconstructions_of_one_frame_back(monkeypatch):
     # when frame n is coded, no reconstruction of a frame before n - 1 is
     # alive, and none is once run() returns
-    seqs, refs, stale = [], [], []
-    real_load, real_encode_frame = (experiment.load_sequence,
-                                    experiment.encode_frame)
-    monkeypatch.setattr(experiment, "load_sequence",
-                        lambda cfg: seqs.append(real_load(cfg)) or seqs[-1])
+    for open_loop_me in (False, True):
+        stale = []
+        with monkeypatch.context() as patch:
+            _, recons = watch_codings(
+                patch, lambda n, sources, recons: stale.extend(
+                    m for m, r in recons if m < n - 1 and r() is not None))
+            run(small_cfg(width=72, height=40, frames=6, qps=(22, 27),
+                          modes=experiment.MODES, open_loop_me=open_loop_me))
+        assert {n for n, _ in recons} == set(range(6))
+        assert stale == []
+        assert all(r() is None for _, r in recons)
 
-    def encode_frame(frame, *args):
-        n = [f is frame for f in seqs[0].frames].index(True)
-        stale.extend(m for m, r in refs if m < n - 1 and r() is not None)
-        enc = real_encode_frame(frame, *args)
-        refs.append((n, weakref.ref(enc.recon)))
+
+@pytest.mark.parametrize("open_loop_me", [False, True])
+@pytest.mark.parametrize("raw", [False, True])
+def test_run_holds_sources_of_one_frame_back(tmp_path, monkeypatch,
+                                             open_loop_me, raw):
+    # the input is read or generated frame by frame and held once: when
+    # frame n is coded, no source frame is alive as read (72x40 is padded
+    # to a copy), none before n (before n - 1 in open loop) is alive
+    # padded, and none is once run() returns
+    cfg = small_cfg(width=72, height=40, frames=6, qps=(22, 27),
+                    modes=experiment.MODES, open_loop_me=open_loop_me)
+    if raw:
+        path = tmp_path / "in.rgb"
+        write_raw(experiment.load_sequence(cfg), path)
+        cfg.synthetic, cfg.input_path = None, str(path)
+    stale = []
+    keep = 1 if open_loop_me else 0
+    sources, _ = watch_codings(
+        monkeypatch, lambda n, sources, recons: stale.extend(
+            m for m, (read, padded) in enumerate(sources)
+            if read() is not None or m < n - keep and padded() is not None))
+    run(cfg)
+    assert len(sources) == cfg.frames
+    assert stale == []
+    assert all(r() is None for refs in sources for r in refs)
+
+
+@pytest.mark.parametrize("width, height", [(72, 40), (100, 70)])
+def test_run_pads_each_source_once_and_searches_stored_reconstructions(
+        monkeypatch, width, height):
+    # one pad per source frame; every closed-loop search reads the padded
+    # store of a reconstruction as it is, not a padded copy
+    pads, stores, strays = [], [], []
+    real_pad, real_encode, real_search = (partitioner.pad_plane,
+                                          experiment.encode_frame,
+                                          experiment.estimate_motion_field)
+
+    def encode_frame(*args):
+        enc = real_encode(*args)
+        stores.append(enc.recon.padded)
         return enc
 
+    def estimate_motion_field(cur, ref, *args):
+        if not any(ref.base is store for store in stores):
+            strays.append(ref)
+        return real_search(cur, ref, *args)
+
+    monkeypatch.setattr(partitioner, "pad_plane",
+                        lambda *a: pads.append(a) or real_pad(*a))
     monkeypatch.setattr(experiment, "encode_frame", encode_frame)
-    run(small_cfg(frames=6, qps=(22, 27), modes=experiment.MODES))
-    assert {n for n, _ in refs} == set(range(6))
-    assert stale == []
-    assert all(r() is None for _, r in refs)
+    monkeypatch.setattr(experiment, "estimate_motion_field",
+                        estimate_motion_field)
+    cfg = small_cfg(width=width, height=height, frames=4, qps=(22, 27),
+                    modes=experiment.MODES)
+    run(cfg)
+    assert len(pads) == cfg.frames
+    assert strays == [] and len(stores) > cfg.frames
+
+
+@pytest.mark.parametrize("open_loop_me", [False, True])
+def test_run_peak_memory_does_not_grow_with_the_frame_count(tmp_path,
+                                                            open_loop_me):
+    # a padded 10-bit raw input (200x120 pads to 224x128 at CB 32): the
+    # traced peak of 8 frames is within one int32 frame of that of 2
+    width, height = 200, 120
+    path = tmp_path / "in.rgb"
+    write_raw(gen_synthetic("moving-texture", width, height, 8, 10), path)
+
+    def peak(frames):
+        cfg = ExperimentConfig(input_path=str(path), width=width,
+                               height=height, bit_depth=10, frames=frames,
+                               qps=(27,), modes=(ANCHOR_MODE, "spaq"),
+                               cb_depth=1, open_loop_me=open_loop_me)
+        tracemalloc.start()
+        try:
+            run(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # fills the caches a first run fills
+    assert peak(8) - peak(2) < 3 * width * height * 4
 
 
 def watch_motion_searches(monkeypatch, check):
@@ -440,9 +547,9 @@ def test_run_holds_motion_fields_of_one_frame_back(monkeypatch, open_loop_me):
 
 
 def test_closed_loop_run_keeps_no_earlier_source_plane(monkeypatch):
-    # at a padded size every frame's current plane is a fresh array, and
-    # none outlives its frame: when frame n searches, the plane frame n - 1
-    # searched from is dead
+    # at a padded size every frame's current plane is a fresh view of its
+    # padded store, and none outlives its frame: when frame n searches,
+    # the plane frame n - 1 searched from is dead
     alive = []
     watch_motion_searches(monkeypatch, lambda curs, fields: alive.extend(
         i for i, r in enumerate(curs[:-1], 1) if r() is not None))
@@ -524,13 +631,15 @@ def test_run_codes_each_distinct_qp_chain_once(monkeypatch):
 def test_run_scores_each_frame_once_its_codings_are_made(monkeypatch):
     # per frame: every encode_frame, then one ssim_sums, then one
     # ssim_global per distinct coding, given those sums; no frame's sums
-    # are alive during an encode
-    events, alive = [], []
+    # are alive during an encode. run() frees each frame once it is
+    # coded, so seen keeps the frames alive and their ids distinct.
+    events, alive, seen = [], [], []
     real = {name: getattr(experiment, name)
             for name in ("encode_frame", "ssim_sums", "ssim_global")}
 
     def encode_frame(frame, *args):
         assert all(ref() is None for ref in alive)
+        seen.append(frame)
         events.append(("e", id(frame), None))
         return real["encode_frame"](frame, *args)
 
@@ -1077,6 +1186,31 @@ def test_cli_sample_above_the_bit_depth_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.endswith("frame 1 holds sample 1024, above the 10-bit "
+                        "maximum 1023\n")
+
+
+@pytest.mark.parametrize("open_loop_me", [False, True])
+def test_cli_late_sample_above_the_bit_depth_rejected(tmp_path, capsys,
+                                                      open_loop_me):
+    # frames are read as they are coded, so a bad sample in frame 3 of 5
+    # is caught when frame 3 is read: exit 1, one error line naming the
+    # frame, the sample and the depth, and no report file
+    raw = tmp_path / "five.rgb"
+    write_raw(gen_synthetic("noise", 64, 64, 5, 10, seed=0), raw)
+    data = bytearray(raw.read_bytes())
+    at = 3 * frame_byte_size(64, 64, 10) + 2 * (64 * 10 + 20)
+    data[at: at + 2] = (0x0400).to_bytes(2, "little")
+    raw.write_bytes(bytes(data))
+    out = tmp_path / "o"
+    code = main([
+        "--input", str(raw), "--width", "64", "--height", "64",
+        "--bit-depth", "10", "--frames", "5", "--qp", "22",
+        "--out", str(out)] + ["--open-loop-me"] * open_loop_me)
+    assert code == 1
+    assert list(out.iterdir()) == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("spaqlab: error:")
+    assert err.endswith("frame 3 holds sample 1024, above the 10-bit "
                         "maximum 1023\n")
 
 
