@@ -158,23 +158,11 @@ def gen_synthetic(kind: str, width: int = 128, height: int = 128,
                   shift=(3, 4)) -> Sequence:
     """Deterministic test content; same (kind, dims, seed) -> same samples.
 
-    The arguments pass a run config's checks before any sample is drawn.
+    The arguments pass a synthetic config's checks before a sample is drawn.
     """
-    return Sequence(list(synthetic_frames(kind, width, height, frames,
-                                          bit_depth, seed, shift)))
-
-
-def synthetic_frames(kind: str, width: int = 128, height: int = 128,
-                     frames: int = 16, bit_depth: int = 8, seed: int = 0,
-                     shift=(3, 4)):
-    """gen_synthetic's frames, generated one at a time as they are taken.
-
-    The arguments are checked here, before the iterator draws a sample.
-    """
-    ExperimentConfig(synthetic=kind, width=width, height=height,
-                     frames=frames, bit_depth=bit_depth, seed=seed,
-                     shift=shift).validate()
-    return _draw_frames(kind, width, height, frames, bit_depth, seed, shift)
+    return load_sequence(ExperimentConfig(
+        synthetic=kind, width=width, height=height, frames=frames,
+        bit_depth=bit_depth, seed=seed, shift=shift))
 
 
 def _draw_frames(kind, width, height, frames, bit_depth, seed, shift):
@@ -391,12 +379,13 @@ class ExperimentReport:
 
 def input_frames(cfg: ExperimentConfig):
     """The config's input frames, read or generated one at a time as they
-    are taken. A raw file's size and frame count are checked here, before
-    any sample is read; a sample above the bit depth raises when its
-    frame is read."""
+    are taken. The config, and a raw file's size and frame count, are
+    checked here, before any sample is read or drawn; a sample above the
+    bit depth raises when its frame is read."""
+    cfg.validate()
     if cfg.synthetic is not None:
-        return synthetic_frames(cfg.synthetic, cfg.width, cfg.height,
-                                cfg.frames, cfg.bit_depth, cfg.seed, cfg.shift)
+        return _draw_frames(cfg.synthetic, cfg.width, cfg.height, cfg.frames,
+                            cfg.bit_depth, cfg.seed, cfg.shift)
     return raw_frames(cfg.input_path, cfg.width, cfg.height, cfg.bit_depth,
                       cfg.frames)
 
@@ -409,23 +398,22 @@ def load_sequence(cfg: ExperimentConfig) -> Sequence:
 def run(cfg: ExperimentConfig) -> ExperimentReport:
     """Run every (mode, QP) cell of the config and assemble the report.
 
-    The uniform anchor always runs (it is the reference every percentage
-    column is computed against) even when absent from cfg.modes. Writes
-    report files to cfg.out_dir, if set, which is created before any
-    input is read. The cells are coded frame-major, and cells whose QP
-    arrays agree on frames 0..n share one encode and one SSIM of frame n.
-    The input is read or generated one frame at a time. While frame n is
-    coded, the run holds frame n (padded once) and, in open loop, frame
-    n - 1; the reconstructions of frame n - 1 (one per distinct chain of
+    The uniform anchor always runs (it is the reference every percentage column
+    is computed against) even when absent from cfg.modes. Writes report files
+    to cfg.out_dir, if set, made once input_frames has checked the config and a
+    raw file's size, before a sample is read. The cells are coded frame-major,
+    and cells whose QP arrays agree on frames 0..n share one encode and one
+    SSIM of frame n. The input is read or generated one frame at a time. While
+    frame n is coded, the run holds frame n (padded once) and, in open loop,
+    frame n - 1; the reconstructions of frame n - 1 (one per distinct chain of
     QP arrays, at most one per cell) and those of frame n; and the motion
-    fields of frame n. None is kept once run returns.
-    Cells predicting from one coding of frame n - 1 share a search, all do
-    in open loop, and two codings that reconstruct alike search twice.
+    fields of frame n. None is kept once run returns. Cells predicting from one
+    coding of frame n - 1 share a search, all do in open loop, and two codings
+    that reconstruct alike search twice.
     """
-    cfg.validate()
+    frames = input_frames(cfg)
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
-    frames = input_frames(cfg)
     label = cfg.label or cfg.synthetic or os.path.basename(cfg.input_path)
     grid = build_grid(cfg.width, cfg.height, cfg.cb_depth)
 

@@ -46,14 +46,14 @@ def sample_dtype(bit_depth: int) -> np.dtype:
 class Frame:
     """One picture: its G, B and R samples as one (3, height, width) array.
 
-    planes is int32, indexed channel first (planes[G] is the G plane). A
+    planes is int32, indexed channel first (planes[G] is the G plane); a
     sequence of three (height, width) planes is stacked into one
-    C-contiguous array; any dtype other than int32 is rejected, since the
-    codec subtracts samples and a narrow unsigned type would wrap around.
-    A padded frame (partitioner.pad_frame, and every reconstruction) is
-    made from padded alone, with planes None: padded is a C-contiguous
-    int32 (3, H, W) array equal to pad_plane(planes) at a grid's padded
-    size, and planes is its top-left (height, width) corner, a view.
+    C-contiguous array. Other dtypes are rejected, since the codec subtracts
+    samples and a narrow unsigned type would wrap, and so is any sample
+    outside the bit depth. A padded frame (pad_frame, every reconstruction)
+    is made from padded alone, not rescanned: a C-contiguous int32 (3, H, W)
+    pad_plane of a checked frame, or clipped samples, at a grid's padded
+    size, with planes its top-left (height, width) corner, a view.
     """
 
     width: int
@@ -67,6 +67,8 @@ class Frame:
                    bit_depth=self.bit_depth)
         if self.bit_depth not in SUPPORTED_BIT_DEPTHS:
             raise ValueError(f"unsupported bit depth {self.bit_depth}")
+        if self.padded is not None and self.planes is not None:
+            raise ValueError("a frame is made from planes or padded, not both")
         planes = (np.ascontiguousarray(self.planes) if self.padded is None
                   else self.padded[:, : self.height, : self.width])
         object.__setattr__(self, "planes", planes)
@@ -76,8 +78,8 @@ class Frame:
             raise ValueError(
                 f"planes shape {planes.shape} != (3, {self.height}, {self.width})"
             )
-        if planes.size and (int(planes.min()) < 0
-                            or int(planes.max()) > self.max_value):
+        if self.padded is None and planes.size and (
+                int(planes.min()) < 0 or int(planes.max()) > self.max_value):
             raise ValueError("sample outside [0, 2^bit_depth - 1]")
 
     @property

@@ -111,6 +111,38 @@ MUTANTS = (
         ("tests/test_codec_sim.py::test_reconstruction_store_is_the_padded_reference",
          "tests/test_experiment.py::test_ablation_run_pinned_byte_for_byte",
          "tests/test_experiment.py::test_run_matches_coding_each_cell_alone")),
+    # input_frames hands a config on unchecked
+    Mutant(
+        "experiment",
+        "    cfg.validate()\n    if cfg.synthetic is not None:\n",
+        "    if cfg.synthetic is not None:\n",
+        ("tests/test_experiment.py::test_a_synthetic_config_is_checked_once",
+         "tests/test_experiment.py::test_bad_shift_rejected_before_out_dir",
+         "tests/test_experiment.py::test_gen_synthetic_checks_arguments_before_drawing",
+         "tests/test_experiment.py::test_gen_synthetic_checks_shift_like_the_config",
+         "tests/test_experiment.py::test_non_int_numbers_rejected_before_out_dir",
+         "tests/test_experiment.py::test_unknown_kind_rejected")),
+    # a frame made from planes is not checked against its bit depth
+    Mutant(
+        "video_io",
+        "if self.padded is None and planes.size and (",
+        "if False and (",
+        ("tests/test_experiment.py::test_cli_late_sample_above_the_bit_depth_rejected",
+         "tests/test_experiment.py::test_cli_sample_above_the_bit_depth_rejected",
+         "tests/test_video_io.py::test_frame_validation",
+         "tests/test_video_io.py::test_sample_above_the_bit_depth_rejected")),
+    # each intra anti-diagonal loses its lowest CB, so the left column and
+    # bottom row go uncoded; only tests that compare with the raster
+    # oracle or pinned bytes are named, since the uncoded samples are
+    # whatever np.empty_like left there
+    Mutant(
+        "codec_sim",
+        "min(d, n_rows - 1) + 1",
+        "min(d, n_rows - 1)",
+        ("tests/test_codec_sim.py::test_intra_diagonals_and_inter_passes_match_raster_oracle",
+         "tests/test_experiment.py::test_12bit_64px_noise_run_pinned",
+         "tests/test_experiment.py::test_ablation_run_pinned_byte_for_byte",
+         "tests/test_experiment.py::test_small_run_pinned_byte_for_byte")),
 )
 
 _OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR|SKIPPED|XFAIL|XPASS) (\S+)",

@@ -736,6 +736,7 @@ def test_gen_synthetic_checks_shift_like_the_config():
         gen_synthetic("noise", 64, 64, 1, 8, 0, (True, 1))
 
 
+@pytest.mark.parametrize("entry", ["gen_synthetic", "load_sequence"])
 @pytest.mark.parametrize("args, message", [
     (dict(bit_depth=8.0), "bit_depth must be an int, got 8.0"),
     (dict(width=64.0), "width must be an int, got 64.0"),
@@ -747,14 +748,34 @@ def test_gen_synthetic_checks_shift_like_the_config():
      "frames must be at least 8x8 for the SSIM window"),
 ])
 def test_gen_synthetic_checks_arguments_before_drawing(monkeypatch, args,
-                                                       message):
+                                                       message, entry):
     def no_draw(seed):
         raise AssertionError("a generator was made")
 
     monkeypatch.setattr(np.random, "default_rng", no_draw)
     kw = dict(width=64, height=64, frames=2, bit_depth=8, seed=0) | args
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        gen_synthetic("gradient", **kw)
+        if entry == "gen_synthetic":
+            gen_synthetic("gradient", **kw)
+        else:
+            experiment.load_sequence(
+                ExperimentConfig(synthetic="gradient", **kw))
+
+
+@pytest.mark.parametrize("entry", ["run", "gen_synthetic", "load_sequence"])
+def test_a_synthetic_config_is_checked_once(monkeypatch, entry):
+    checked = []
+    validate = ExperimentConfig.validate
+    monkeypatch.setattr(ExperimentConfig, "validate",
+                        lambda self: checked.append(self) or validate(self))
+    cfg = small_cfg(synthetic="gradient", frames=2, qps=(22,))
+    if entry == "run":
+        run(cfg)
+    elif entry == "gen_synthetic":
+        gen_synthetic("gradient", 64, 64, 2)
+    else:
+        experiment.load_sequence(cfg)
+    assert len(checked) == 1
 
 
 def test_emit_empty_report(tmp_path):
@@ -1222,12 +1243,15 @@ def test_run_rejects_a_short_raw_file_before_reading_it(tmp_path,
     fromfile = np.fromfile
     monkeypatch.setattr(np, "fromfile", lambda *a, **kw: reads.append(
         kw["count"]) or fromfile(*a, **kw))
+    out = tmp_path / "out"
     cfg = ExperimentConfig(input_path=str(raw), width=16, height=16,
-                           frames=6, qps=(22,), modes=(ANCHOR_MODE,))
+                           frames=6, qps=(22,), modes=(ANCHOR_MODE,),
+                           out_dir=str(out))
     with pytest.raises(RawFormatError,
                        match="holds 5 frames, fewer than the 6 requested$"):
         run(cfg)
     assert reads == []
+    assert not out.exists()
     cfg.frames = 5
     run(cfg)
     assert reads == [3 * 16 * 16] * 5

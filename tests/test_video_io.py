@@ -176,6 +176,9 @@ def test_frame_validation():
         Frame(2, 2, 8, (good, good))
     with pytest.raises(ValueError):
         Frame(2, 2, 8, (good, good, np.full((2, 2), 256, dtype=np.int32)))
+    with pytest.raises(ValueError, match="^a frame is made from planes or "
+                       "padded, not both$"):
+        Frame(2, 2, 8, (good, good, good), np.zeros((3, 2, 2), np.int32))
     # any dtype but int32: uint8 samples would wrap in the codec's src - pred
     for dtype in (np.uint8, np.uint16, np.int64):
         with pytest.raises(ValueError, match="int32"):
