@@ -127,9 +127,9 @@ def encode_frame(frame: Frame, ref: Frame | None, qp_map: QpMap,
 
     frame and ref are read through their padded stores (pad_frame), so
     a frame padded once serves every coding of it. The reconstruction is
-    coded into a padded store whose padding is then overwritten by edge
-    replication: it is pad_plane of the cropped samples, and the next
-    frame predicts and searches from it as it is.
+    coded into a zeroed padded store (a CB no stack codes stays 0), whose
+    padding is then overwritten by edge replication: it is pad_plane of
+    the cropped samples, and the next frame predicts and searches from it.
     """
     if qp_map.n_blocks != grid.n_blocks:
         raise ValueError(
@@ -144,7 +144,7 @@ def encode_frame(frame: Frame, ref: Frame | None, qp_map: QpMap,
     qsteps = qp_map.qstep.T.reshape(n_rows, n_cols, 3, 1, 1)
 
     frame = pad_frame(frame, grid)
-    recon_planes = np.empty_like(frame.padded)
+    recon_planes = np.zeros_like(frame.padded)
     # (rows, cols, 3, S, S) views of the C-contiguous padded planes
     src, recon = (p.reshape(3, n_rows, size, n_cols, size)
                   .transpose(1, 3, 0, 2, 4) for p in (frame.padded, recon_planes))

@@ -31,8 +31,7 @@ from .motion_model import DEFAULT_SEARCH_RANGE, estimate_motion_field
 from .partitioner import CB_SIZE_BY_DEPTH, build_grid, pad_frame
 from .qp_model import (CLAMP_SCOPES, QP_MAX, QP_MIN, build_qp_map, qp_to_qstep,
                        uniform_qp_map)
-from .quality_metrics import (SSIM_WINDOW, mse_to_psnr, pct_delta, ssim_global,
-                              ssim_sums)
+from .quality_metrics import SSIM_WINDOW, mse_to_psnr, pct_delta, ssim_global
 from .spatial_activity import DEFAULT_SCALE, compute_activity_map
 from .video_io import (CHANNELS, G, SUPPORTED_BIT_DEPTHS, Frame, Sequence,
                        check_ints, is_int, raw_frames)
@@ -347,14 +346,10 @@ def _run_cells(frames, grid, cells, cfg: ExperimentConfig) -> list:
                                                       grid, fld)
             ch.key, enc = store[key]
             ch.add(enc, qmap, fld)
-        # scored once every coding is made, so the source's SSIM sums are
-        # never held during an encode
-        sums = ssim_sums(frame)
-        scores = [ssim_global(frame, enc.recon, sums)
-                  for _, enc in store.values()]
+        scores = ssim_global(frame, [enc.recon for _, enc in store.values()])
         # without cur, frame n's padded store is freed once frame n + 1 is
         # read (in closed loop)
-        del sums, cur
+        del cur
         for ch in chains:
             ch.ssim_sum += scores[ch.key]
         prev = frame if cfg.open_loop_me else None

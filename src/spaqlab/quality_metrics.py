@@ -5,10 +5,10 @@ SSIM uses an 8x8 uniform sliding window (stride 1) with the standard
 stabilizers C1 = (0.01*peak)^2 and C2 = (0.03*peak)^2; the global score
 of a frame is the mean of its three channel scores. Window sums are exact
 int32 sums by doubling (window_sums): each is at most
-64 * 4095^2 < 2^31 at 12 bits, so scores are exact and symmetric. The
-source's sums (ssim_sums) can be taken once per frame and shared by every
-coding scored against it. The float stage runs in strips of at most
-SSIM_STRIP window rows, so its buffers do not grow with the frame height.
+64 * 4095^2 < 2^31 at 12 bits, so scores are exact and symmetric.
+ssim_global scores every coding of a frame in one call and holds one
+source channel's sums at a time. The float stage runs in strips of at
+most SSIM_STRIP window rows, so its buffers do not grow with the height.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ def mse_to_psnr(mse: float, bit_depth: int) -> float:
 
 def _plane_sums(plane: np.ndarray) -> tuple:
     """int32 window sums of plane and of its square, as (h - 7, w) rows."""
+    h, w = plane.shape
+    if h < SSIM_WINDOW or w < SSIM_WINDOW:
+        raise ValueError(f"plane {h}x{w} is smaller than the "
+                         f"{SSIM_WINDOW}x{SSIM_WINDOW} window")
     sums = np.empty(plane.shape, np.int32)
     square = np.multiply(plane, plane, dtype=np.int32)
     window_sums(plane, SSIM_WINDOW, sums)
@@ -43,26 +47,16 @@ def _plane_sums(plane: np.ndarray) -> tuple:
     return sums[: 1 - SSIM_WINDOW], square[: 1 - SSIM_WINDOW]
 
 
-def ssim_sums(frame: Frame) -> list:
-    """Per channel, the int32 window sums of a and of a * a: all that
-    ssim_global(frame, test, sums) reads of its ref beyond the samples.
-    Each is (h - 7, w) rows whose last 7 columns are not window sums."""
-    return [_plane_sums(plane) for plane in frame.planes]
-
-
 def ssim_plane(ref_plane: np.ndarray, test_plane: np.ndarray,
                bit_depth: int, sums: tuple | None = None) -> float:
     """Mean SSIM of one channel over all window positions.
 
-    sums is ref_plane's entry of ssim_sums, computed here when not given.
+    sums is _plane_sums(ref_plane), computed here when not given.
     """
     if ref_plane.shape != test_plane.shape:
         raise ValueError("planes must share dimensions")
-    h, w = ref_plane.shape
-    if h < SSIM_WINDOW or w < SSIM_WINDOW:
-        raise ValueError(f"plane {h}x{w} is smaller than the "
-                         f"{SSIM_WINDOW}x{SSIM_WINDOW} window")
     sum_a, sum_aa = (s.ravel() for s in sums or _plane_sums(ref_plane))
+    h, w = ref_plane.shape
     peak = (1 << bit_depth) - 1
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
@@ -127,20 +121,21 @@ def ssim_plane(ref_plane: np.ndarray, test_plane: np.ndarray,
     return float(ssim_map.mean())
 
 
-def ssim_global(ref: Frame, test: Frame, sums: list | None = None) -> float:
-    """Global GBR score: mean of the three channel SSIMs.
-
-    sums is ssim_sums(ref); when not given, each channel computes its own
-    in turn, so only one channel's are held at a time.
+def ssim_global(ref: Frame, tests: list) -> list:
+    """Global GBR score of each test frame against ref, in order: the mean
+    of its three channel SSIMs. Every test is checked first; then, channel
+    by channel, ref's window sums are taken once and shared by every test.
     """
-    if (ref.width, ref.height, ref.bit_depth) != (
-        test.width,
-        test.height,
-        test.bit_depth,
-    ):
+    shape = (ref.width, ref.height, ref.bit_depth)
+    if any((t.width, t.height, t.bit_depth) != shape for t in tests):
         raise ValueError("frames must share dimensions and bit depth")
-    return sum(ssim_plane(a, b, ref.bit_depth, s) for a, b, s in
-               zip(ref.planes, test.planes, sums or [None] * 3)) / 3.0
+    scores = [0.0] * len(tests)
+    for ch, plane in enumerate(ref.planes):
+        sums = _plane_sums(plane)
+        scores = [score + ssim_plane(plane, t.planes[ch], ref.bit_depth, sums)
+                  for score, t in zip(scores, tests)]
+        del sums  # freed before the next channel's are taken
+    return [score / 3.0 for score in scores]
 
 
 def pct_delta(anchor: float, test: float):

@@ -132,17 +132,53 @@ MUTANTS = (
          "tests/test_video_io.py::test_frame_validation",
          "tests/test_video_io.py::test_sample_above_the_bit_depth_rejected")),
     # each intra anti-diagonal loses its lowest CB, so the left column and
-    # bottom row go uncoded; only tests that compare with the raster
-    # oracle or pinned bytes are named, since the uncoded samples are
-    # whatever np.empty_like left there
+    # bottom row go uncoded and stay 0
     Mutant(
         "codec_sim",
         "min(d, n_rows - 1) + 1",
         "min(d, n_rows - 1)",
         ("tests/test_codec_sim.py::test_intra_diagonals_and_inter_passes_match_raster_oracle",
+         "tests/test_codec_sim.py::test_near_lossless_at_qp4_on_smooth_content",
+         "tests/test_codec_sim.py::test_static_sequence_inter_cheaper_than_intra",
          "tests/test_experiment.py::test_12bit_64px_noise_run_pinned",
          "tests/test_experiment.py::test_ablation_run_pinned_byte_for_byte",
+         "tests/test_experiment.py::test_qpmap_and_histogram_format_pinned",
          "tests/test_experiment.py::test_small_run_pinned_byte_for_byte")),
+    # B and R are scored against G's source window sums
+    Mutant(
+        "quality_metrics",
+        "_plane_sums(plane)",
+        "_plane_sums(ref.planes[0])",
+        ("tests/test_experiment.py::test_12bit_64px_noise_run_pinned",
+         "tests/test_experiment.py::test_ablation_run_pinned_byte_for_byte",
+         "tests/test_experiment.py::test_small_run_pinned_byte_for_byte",
+         "tests/test_experiment.py::test_static_sequence_report",
+         "tests/test_quality_metrics.py::test_channel_replaced_by_its_mean",
+         "tests/test_quality_metrics.py::test_ssim_global_equals_the_channel_mean_of_each_test",
+         "tests/test_quality_metrics.py::test_ssim_identical_frames_is_exactly_one",
+         "tests/test_quality_metrics.py::test_ssim_symmetry")),
+    # SSIM's float stage reads window sums through float32, which is exact
+    # only below 2^24: 8-bit sums of squares stay exact, near-max 12-bit
+    # ones do not
+    Mutant(
+        "quality_metrics",
+        "out[...] = x\n        return np.multiply(out, inv",
+        "out[...] = x.astype(np.float32)\n        return np.multiply(out, inv",
+        ("tests/test_quality_metrics.py::test_ssim_matches_brute_force_oracle",
+         "tests/test_quality_metrics.py::test_ssim_plane_equals_integral_image_expression_property",
+         "tests/test_quality_metrics.py::test_ssim_plane_exact_at_near_max_12bit_samples")),
+    # every perceptual QP offset is doubled, past the paper's windows
+    Mutant(
+        "qp_model",
+        "int(base_qp) + delta,",
+        "int(base_qp) + 2 * delta,",
+        ("tests/test_acceptance.py::test_perceptual_floor",
+         "tests/test_experiment.py::test_12bit_64px_noise_run_pinned",
+         "tests/test_experiment.py::test_ablation_run_pinned_byte_for_byte",
+         "tests/test_experiment.py::test_qpmap_and_histogram_format_pinned",
+         "tests/test_experiment.py::test_small_run_pinned_byte_for_byte",
+         "tests/test_qp_model.py::test_build_qp_map_ablations",
+         "tests/test_qp_model.py::test_build_qp_map_matches_scalar_oracle")),
 )
 
 _OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR|SKIPPED|XFAIL|XPASS) (\S+)",

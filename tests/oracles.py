@@ -204,7 +204,7 @@ def run_cell_alone(seq, grid, mode: str, base_qp: int, cfg) -> CellResult:
         channel_bits += np.asarray(enc.channel_bits)
         frame_bits.append(enc.bits)
         sse += np.asarray(enc.sse)
-        ssim_sum += ssim_global(frame, enc.recon)
+        ssim_sum += ssim_global(frame, [enc.recon])[0]
         qp_maps.append(qmap)
         # an unpadded copy, so the next frame pads its reference afresh
         recon_prev = Frame(enc.recon.width, enc.recon.height,

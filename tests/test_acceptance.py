@@ -260,7 +260,8 @@ def test_perceptual_floor(sweep):
     grid = build_grid(*SWEEP_DIMS, cfg.cb_depth)
     anchor, spaq = (replay(seq, grid, cells[mode, 22], cfg.search_range)
                     for mode in (ANCHOR_MODE, "spaq"))
-    floor = sum(map(ssim_global, anchor, spaq)) / len(anchor)
+    floor = sum(ssim_global(a, [b])[0]
+                for a, b in zip(anchor, spaq)) / len(anchor)
     if floor >= 0.95:
         print(f"[perceptual-floor] PASS: SSIM(spaq, anchor) = {floor:.4f} "
               f">= 0.95 (default clamp scope)")
@@ -269,7 +270,8 @@ def test_perceptual_floor(sweep):
     term = sweep_config("mixed", clamp_scope="term")
     spaq_term = replay(seq, grid, run_cell(seq, grid, "spaq", 22, term),
                        cfg.search_range)
-    floor_term = sum(map(ssim_global, anchor, spaq_term)) / len(anchor)
+    floor_term = sum(ssim_global(a, [b])[0]
+                     for a, b in zip(anchor, spaq_term)) / len(anchor)
     pytest.fail(
         f"default clamp scope floor {floor:.4f} < 0.95; "
         f"alternate 'term' scope gives {floor_term:.4f}"

@@ -629,46 +629,38 @@ def test_run_codes_each_distinct_qp_chain_once(monkeypatch):
 
 
 def test_run_scores_each_frame_once_its_codings_are_made(monkeypatch):
-    # per frame: every encode_frame, then one ssim_sums, then one
-    # ssim_global per distinct coding, given those sums; no frame's sums
-    # are alive during an encode. run() frees each frame once it is
-    # coded, so seen keeps the frames alive and their ids distinct.
-    events, alive, seen = [], [], []
+    # per frame: every encode_frame, then one ssim_global whose tests are
+    # the frame's distinct codings in store order, the order they were
+    # made. run() frees each frame once it is coded, so events keep the
+    # frames and codings alive and their ids distinct.
+    events = []
     real = {name: getattr(experiment, name)
-            for name in ("encode_frame", "ssim_sums", "ssim_global")}
+            for name in ("encode_frame", "ssim_global")}
 
     def encode_frame(frame, *args):
-        assert all(ref() is None for ref in alive)
-        seen.append(frame)
-        events.append(("e", id(frame), None))
-        return real["encode_frame"](frame, *args)
+        enc = real["encode_frame"](frame, *args)
+        events.append(("e", frame, [enc.recon]))
+        return enc
 
-    def ssim_sums(frame):
-        sums = real["ssim_sums"](frame)
-        alive.append(weakref.ref(sums[0][0]))
-        events.append(("s", id(frame), id(sums)))
-        return sums
-
-    def ssim_global(ref, test, sums):
-        events.append(("g", id(ref), id(sums)))
-        return real["ssim_global"](ref, test, sums)
+    def ssim_global(ref, tests):
+        events.append(("g", ref, list(tests)))
+        return real["ssim_global"](ref, tests)
 
     for name, fake in (("encode_frame", encode_frame),
-                       ("ssim_sums", ssim_sums), ("ssim_global", ssim_global)):
+                       ("ssim_global", ssim_global)):
         monkeypatch.setattr(experiment, name, fake)
     cfg = small_cfg(frames=4, qps=(22, 27, 50, 51), modes=experiment.MODES)
     run(cfg)
-    frames = list(dict.fromkeys(frame for _, frame, _ in events))
+    frames = list(dict.fromkeys(id(frame) for _, frame, _ in events))
     assert len(frames) == cfg.frames
     for frame in frames:
-        mine = [e for e in events if e[1] == frame]
-        kinds = "".join(kind for kind, _, _ in mine)
-        assert re.fullmatch(r"(e+)s(g+)", kinds)
-        assert kinds.count("e") == kinds.count("g")
-        assert len({sums for kind, _, sums in mine if kind != "e"}) == 1
+        mine = [e for e in events if id(e[1]) == frame]
+        assert re.fullmatch(r"e+g", "".join(kind for kind, _, _ in mine))
+        made = [id(recon) for _, _, (recon,) in mine[:-1]]
+        assert [id(test) for test in mine[-1][2]] == made
     # frame-major: each frame's events are contiguous
-    assert [frame for _, frame, _ in events] == sorted(
-        (frame for _, frame, _ in events), key=frames.index)
+    assert [id(frame) for _, frame, _ in events] == sorted(
+        (id(frame) for _, frame, _ in events), key=frames.index)
 
 
 def test_config_validation():
@@ -1299,7 +1291,7 @@ def test_closed_loop_sharing_keeps_every_file(tmp_path, monkeypatch,
 def test_each_coding_is_searched_from_once(monkeypatch):
     # frame n runs one search per distinct coding of frame n - 1: a memo
     # shared by every reference would search less, one per cell more.
-    # Frame n's codings and searches all come before its SSIM sums.
+    # Frame n's codings and searches all come before its ssim_global.
     codings, searches = [0], [0]
 
     def count(calls, real):
@@ -1309,18 +1301,18 @@ def test_each_coding_is_searched_from_once(monkeypatch):
         return wrapped
 
     def next_frame(real):
-        def wrapped(frame):
+        def wrapped(*args):
             codings.append(0)
             searches.append(0)
-            return real(frame)
+            return real(*args)
         return wrapped
 
     monkeypatch.setattr(experiment, "encode_frame",
                         count(codings, experiment.encode_frame))
     monkeypatch.setattr(motion_model, "motion_field",
                         count(searches, motion_model.motion_field))
-    monkeypatch.setattr(experiment, "ssim_sums",
-                        next_frame(experiment.ssim_sums))
+    monkeypatch.setattr(experiment, "ssim_global",
+                        next_frame(experiment.ssim_global))
     qps = (22, 27, 32)
     run(small_cfg(synthetic="moving-texture", frames=4, qps=qps,
                   modes=experiment.MODES))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,15 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from spaqlab import quality_metrics
 from spaqlab.experiment import CellResult
 from spaqlab.partitioner import window_sums
 from spaqlab.quality_metrics import (
     PSNR_CAP_DB,
+    _plane_sums,
     mse_to_psnr,
     pct_delta,
     ssim_global,
     ssim_plane,
-    ssim_sums,
 )
 from spaqlab.video_io import Frame
 
@@ -100,7 +102,7 @@ def test_ssim_identical_frames_is_exactly_one():
     rng = np.random.default_rng(1)
     f = rand_frame(rng)
     g = Frame(f.width, f.height, f.bit_depth, tuple(p.copy() for p in f.planes))
-    assert ssim_global(f, g) == 1.0
+    assert ssim_global(f, [g]) == [1.0]
 
 
 def test_ssim_matches_brute_force_oracle():
@@ -129,7 +131,7 @@ def test_ssim_plane_equals_integral_image_expression_property(
     test = np.clip(ref + noise, 0, maxv).astype(np.int32)
     for a, b in ((ref, test), (test, ref)):
         want = integral_image_ssim(a, b, depth)
-        sums = ssim_sums(Frame(w, h, depth, (a, a, a)))[0]
+        sums = _plane_sums(a)
         assert ssim_plane(a, b, depth) == want
         assert ssim_plane(a, b, depth, sums) == want
 
@@ -181,7 +183,8 @@ def test_channel_replaced_by_its_mean():
     assert per_channel[0] == pytest.approx(
         brute_force_ssim(ref.planes[0], flat_g, 8), abs=1e-12
     )
-    assert ssim_global(ref, test) == pytest.approx(sum(per_channel) / 3, abs=1e-12)
+    assert ssim_global(ref, [test])[0] == pytest.approx(sum(per_channel) / 3,
+                                                        abs=1e-12)
 
 
 def test_constant_offset_drops_luminance_only():
@@ -208,13 +211,13 @@ def test_ssim_symmetry():
     rng = np.random.default_rng(5)
     a = rand_frame(rng)
     b = rand_frame(rng)
-    assert abs(ssim_global(a, b) - ssim_global(b, a)) <= 1e-12
+    assert abs(ssim_global(a, [b])[0] - ssim_global(b, [a])[0]) <= 1e-12
 
 
 def test_ssim_window_larger_than_frame_rejected():
     f = rand_frame(np.random.default_rng(6), w=4, h=4)
     with pytest.raises(ValueError):
-        ssim_global(f, f)
+        ssim_global(f, [f])
 
 
 def test_ssim_frame_mismatch_rejected():
@@ -222,7 +225,50 @@ def test_ssim_frame_mismatch_rejected():
     a = rand_frame(rng, w=16, h=16)
     b = rand_frame(rng, w=16, h=8)
     with pytest.raises(ValueError):
-        ssim_global(a, b)
+        ssim_global(a, [b])
+
+
+@pytest.mark.parametrize("depth", [8, 10, 12])
+@pytest.mark.parametrize("n_tests", [1, 2, 3])
+def test_ssim_global_equals_the_channel_mean_of_each_test(depth, n_tests):
+    # 37x21: no dimension a multiple of the window or of a CB; each score
+    # adds G, B and R from 0 in order, then divides by 3.0
+    rng = np.random.default_rng(depth * 10 + n_tests)
+    ref = rand_frame(rng, w=37, h=21, depth=depth)
+    tests = [rand_frame(rng, w=37, h=21, depth=depth) for _ in range(n_tests)]
+    want = [sum(ssim_plane(a, b, depth) for a, b in zip(ref.planes, t.planes))
+            / 3.0 for t in tests]
+    assert ssim_global(ref, tests) == want
+
+
+@pytest.mark.parametrize("bad", [dict(w=16, h=8), dict(depth=10)])
+def test_ssim_global_checks_every_test_before_taking_sums(monkeypatch, bad):
+    rng = np.random.default_rng(8)
+    ref = rand_frame(rng)
+    calls = []
+    monkeypatch.setattr(quality_metrics, "_plane_sums",
+                        lambda plane: calls.append(plane))
+    with pytest.raises(ValueError, match="dimensions and bit depth"):
+        ssim_global(ref, [rand_frame(rng), rand_frame(rng, **bad)])
+    assert calls == []
+
+
+def test_ssim_global_holds_one_channel_of_source_sums():
+    # three 960x540 10-bit codings: a channel's source sums are 4.1 MB and
+    # one ssim_plane's strip buffers and map 9.5 MB, so holding all three
+    # channels' sums at once would peak near 22 MB
+    rng = np.random.default_rng(9)
+    ref = rand_frame(rng, w=960, h=540, depth=10)
+    tests = [Frame(960, 540, 10, np.clip(
+        ref.planes + rng.integers(-8, 9, ref.planes.shape, dtype=np.int32),
+        0, 1023)) for _ in range(3)]
+    tracemalloc.start()
+    try:
+        ssim_global(ref, tests)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17e6
 
 
 def test_pct_reduction():
