@@ -5,12 +5,15 @@ levels: depth 0 -> 64x64 (N=32), depth 1 -> 32x32 (N=16), depth 2 ->
 16x16 (N=8). Each CB splits into four NxN sub-blocks. Frames whose
 dimensions are not multiples of the CB size are edge-padded (last
 row/column replicated) before analysis; padded samples never enter
-quality metrics.
+quality metrics. run_parts splits a large plane's independent parts
+between the calling thread and one worker thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +21,11 @@ import numpy as np
 from .video_io import Frame, check_ints
 
 CB_SIZE_BY_DEPTH = {0: 64, 1: 32, 2: 16}
+# plane samples from which run_parts uses a second thread: of 128^2, 192^2,
+# 256^2 and 384^2, 256^2 was the least at which the split motion search
+# beat the serial one (inter coding gained at every size; an SSIM plane
+# under 2^16 window positions is one strip, with nothing to split)
+SPLIT_SAMPLES = 256 * 256
 
 
 @dataclass(frozen=True)
@@ -127,3 +135,36 @@ def window_sums(x: np.ndarray, k: int, buf: np.ndarray) -> np.ndarray:
         n -= side
         np.add(flat[:n], flat[side: side + n], out=flat[:n])
     return out[:h, : w - k + 1]
+
+
+def run_parts(body, n_parts: int, samples: int) -> list:
+    """[body(i) for i in range(n_parts)], for parts that share no writes.
+
+    On a plane of at least SPLIT_SAMPLES samples, in a process allowed two
+    or more CPUs, one worker thread runs parts 1::2 while the calling
+    thread runs parts 0::2; the worker is joined before anything returns
+    or raises, and its exception, if any, is raised here. Otherwise every
+    part runs on the calling thread.
+    """
+    if (n_parts < 2 or samples < SPLIT_SAMPLES
+            or len(os.sched_getaffinity(0)) < 2):
+        return [body(i) for i in range(n_parts)]
+    odd, failed = [], []
+
+    def work():
+        try:
+            odd.extend(body(i) for i in range(1, n_parts, 2))
+        except BaseException as exc:
+            failed.append(exc)
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        even = [body(i) for i in range(0, n_parts, 2)]
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+    out = [None] * n_parts
+    out[0::2], out[1::2] = even, odd
+    return out

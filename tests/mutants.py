@@ -2,7 +2,7 @@
 
 Each row of MUTANTS changes one exact text of one module in src/spaqlab
 and names the tests that must fail under the change. The runner copies
-src/, tests/ and pyproject.toml to a temporary directory outside the
+src/, tests/, perfbench/ and pyproject.toml to a temporary directory outside the
 checkout and imports spaqlab from that copy. It first requires every
 named test to pass on the unmutated copy, then applies each mutant in
 turn and requires every test of its row to fail. Run it from anywhere:
@@ -167,6 +167,14 @@ MUTANTS = (
         ("tests/test_quality_metrics.py::test_ssim_matches_brute_force_oracle",
          "tests/test_quality_metrics.py::test_ssim_plane_equals_integral_image_expression_property",
          "tests/test_quality_metrics.py::test_ssim_plane_exact_at_near_max_12bit_samples")),
+    # run_parts hands the worker's parts back in the caller's places
+    Mutant(
+        "partitioner",
+        "out[0::2], out[1::2] = even, odd",
+        "out[0::2], out[1::2] = odd, even",
+        ("tests/test_split.py::test_run_parts_splits_even_and_odd_parts",
+         "tests/test_split.py::test_split_motion_field_equals_serial",
+         "tests/test_split.py::test_traced_split_run_keeps_spans_and_counts")),
     # every perceptual QP offset is doubled, past the paper's windows
     Mutant(
         "qp_model",
@@ -196,9 +204,11 @@ def run_tests(root: Path, ids) -> dict:
     """Run pytest on ids inside root, importing spaqlab from root/src.
     Returns {test id: outcome}, an id of a parametrized test standing for
     its worst case (a failed case counts as the test failing)."""
+    # a fixed hypothesis seed draws the same examples on every pass, so a
+    # row's outcome does not change from one pass to the next
     out = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rA", "--tb=no",
-         "-p", "no:cacheprovider", *ids],
+         "-p", "no:cacheprovider", "--hypothesis-seed=0", *ids],
         cwd=root, env=_env(root), capture_output=True, text=True).stdout
     outcomes = {}
     for outcome, node in _OUTCOME.findall(out):
@@ -223,6 +233,9 @@ def main() -> int:
         skip = shutil.ignore_patterns("__pycache__")
         shutil.copytree(ROOT / "src", root / "src", ignore=skip)
         shutil.copytree(ROOT / "tests", root / "tests", ignore=skip)
+        # tests/test_split.py imports perfbench's tracer
+        shutil.copytree(ROOT / "perfbench", root / "perfbench",
+                        ignore=shutil.ignore_patterns("__pycache__", "_work"))
         shutil.copy(ROOT / "pyproject.toml", root)
         found = Path(imported_from(root)).resolve()
         if root.resolve() not in found.parents:

@@ -12,7 +12,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import qpmap_csv_text, run_cell_alone
@@ -586,6 +586,9 @@ def run_configs(draw):
 
 @settings(deadline=None, max_examples=30)
 @given(run_configs())
+# closed loop over three frames with two chains: a motion-field memo
+# shared by both chains' references hands one of them the wrong field
+@example(small_cfg())
 def test_run_matches_coding_each_cell_alone(cfg):
     # frame-major coding with shared QP chains, in run() and in run_cell,
     # gives every cell exactly what coding it alone gives
