@@ -8,15 +8,15 @@ these steps in stacks, with the same bits as raster order: one
 anti-diagonal of the grid at a time on intra frames, whose DC predictors
 read earlier CBs, and raster passes of at most INTER_PASS samples on
 inter frames, whose CBs read none of their frame. On a plane of at least
-partitioner.SPLIT_SAMPLES samples, every other raster pass of an inter
-frame runs on a worker thread (partitioner.run_parts): each pass writes
-only its own CBs, and the bit counts are exact integer sums. Intra
-frames stay on one thread: each anti-diagonal reads the one before it,
-and halving every diagonal between two threads made a 960x540 frame
-slower (40 to 59-66 ms). Everything that would be symmetric between two QP allocations
-(entropy coder, loop filters, rich prediction) is deliberately left
-out; the proxy bit cost is deterministic and monotone in level
-magnitude but not comparable to a real bitstream.
+partitioner.SPLIT_SAMPLES samples, a worker thread codes the second half
+of an inter frame's CBs (partitioner.run_parts): each CB writes only
+itself, and the bit counts are exact integer sums. Intra frames stay on
+one thread: each anti-diagonal reads the one before it, and halving
+every diagonal between two threads made a 960x540 frame slower (40 to
+59-66 ms). Everything that would be symmetric between two QP
+allocations (entropy coder, loop filters, rich prediction) is
+deliberately left out; the proxy bit cost is deterministic and monotone
+in level magnitude but not comparable to a real bitstream.
 """
 
 from __future__ import annotations
@@ -184,10 +184,10 @@ def encode_frame(frame: Frame, ref: Frame | None, qp_map: QpMap,
                 for rows in [np.arange(max(0, d - n_cols + 1),
                                        min(d, n_rows - 1) + 1)]]
     else:  # an inter CB reads no other CB of its frame
-        step, cbs = INTER_PASS // (3 * size * size), np.arange(grid.n_blocks)
-        bits = run_parts(
-            lambda k: code(*np.divmod(cbs[k * step: k * step + step], n_cols)),
-            -(-grid.n_blocks // step), frame.padded[0].size)
+        step = INTER_PASS // (3 * size * size)
+        bits = run_parts(lambda lo, hi: [
+            code(*np.divmod(np.arange(k, min(k + step, hi)), n_cols))
+            for k in range(lo, hi, step)], grid.n_blocks, frame.padded[0].size)
     channel_bits = np.sum(bits, axis=0, dtype=np.int64)
     h, w = frame.height, frame.width
     recon_planes[:, :h, w:] = recon_planes[:, :h, w - 1: w]

@@ -7,10 +7,9 @@ prediction blocks. A vector (x, y) points in the direction of content
 motion: the matched reference block sits at (px - x, py - y) for a PU
 at (px, py). SADs are taken SAD_PASS window samples at a time, in int16
 temporaries of at most that size, and summed exactly in int32. On a
-plane of at least partitioner.SPLIT_SAMPLES samples the PUs are searched
-in an even count of raster groups, every other group on a worker thread
-(partitioner.run_parts); each PU's search reads no other PU, so the
-field is the serial one.
+plane large enough for partitioner.run_parts to split, the second half
+of the PUs, in raster order, is searched on a worker thread; each PU's
+search reads no other PU, so the field is the serial one.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import partitioner
 from .partitioner import BlockGrid, run_parts, window_sums
 
 DEFAULT_SEARCH_RANGE = 16
@@ -181,26 +179,24 @@ def estimate_motion_field(cur: np.ndarray, ref: np.ndarray, grid: BlockGrid,
                           fields: dict | None = None) -> MotionField:
     """Motion vectors for every PU of a frame, in grid raster order.
 
-    The PUs are searched in raster-order groups of one size (the last
-    may be smaller), as few as keep each bounds array within 2**20
-    entries, and an even count of them on a plane that run_parts may
-    split. fields, if given, is a memo keyed by grid geometry and search
-    range alone, to be shared only by calls on equal planes: run() shares
-    one among the cells predicting from one coding of frame n - 1 (all
-    cells in open loop), so two codings with equal reconstructions are
-    searched twice.
+    Each half of the PUs that run_parts hands out is searched in
+    raster-order groups of one size (the last may be smaller), as few as
+    keep each bounds array within 2**20 entries. fields, if given, is a
+    memo keyed by grid geometry and search range alone, to be shared only
+    by calls on equal planes: run() shares one among the cells predicting
+    from one coding of frame n - 1 (all cells in open loop), so two
+    codings with equal reconstructions are searched twice.
     """
     fields = {} if fields is None else fields
     key = grid.cb_size, grid.cols, grid.rows, search_range
     if key not in fields:
         r = min(search_range, max(cur.shape) - grid.cb_size)  # as block_match
-        pus = grid.blocks
-        n = -(-len(pus) // max(1, 2**20 // (2 * r + 1) ** 2))
-        if cur.size >= partitioner.SPLIT_SAMPLES:
-            n += n % 2  # an even count of groups, half of them per thread
-        per = -(-len(pus) // n)
-        groups = [pus[i: i + per] for i in range(0, len(pus), per)]
-        fields[key] = motion_field([mv for vectors in run_parts(
-            lambda k: block_match(cur, ref, groups[k], search_range),
-            len(groups), cur.size) for mv in vectors])
+        most = max(1, 2**20 // (2 * r + 1) ** 2)  # PUs per bounds array
+
+        def search(lo, hi):
+            # groups of one size: each thread holds one group's bounds
+            per = -(-(hi - lo) // -(-(hi - lo) // most))
+            return [mv for i in range(lo, hi, per) for mv in block_match(
+                cur, ref, grid.blocks[i: min(i + per, hi)], search_range)]
+        fields[key] = motion_field(run_parts(search, grid.n_blocks, cur.size))
     return fields[key]

@@ -5,8 +5,8 @@ levels: depth 0 -> 64x64 (N=32), depth 1 -> 32x32 (N=16), depth 2 ->
 16x16 (N=8). Each CB splits into four NxN sub-blocks. Frames whose
 dimensions are not multiples of the CB size are edge-padded (last
 row/column replicated) before analysis; padded samples never enter
-quality metrics. run_parts splits a large plane's independent parts
-between the calling thread and one worker thread.
+quality metrics. run_parts runs the two halves of a large plane's
+independent items on two threads.
 """
 
 from __future__ import annotations
@@ -137,34 +137,39 @@ def window_sums(x: np.ndarray, k: int, buf: np.ndarray) -> np.ndarray:
     return out[:h, : w - k + 1]
 
 
-def run_parts(body, n_parts: int, samples: int) -> list:
-    """[body(i) for i in range(n_parts)], for parts that share no writes.
+def _cpus() -> int:
+    """CPUs this process may run on (its affinity, where the OS has one)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def run_parts(body, n: int, samples: int) -> list:
+    """body(0, n), for a body(lo, hi) that returns the results of items
+    lo..hi-1 as a list and writes nothing that another item reads.
 
     On a plane of at least SPLIT_SAMPLES samples, in a process allowed two
-    or more CPUs, one worker thread runs parts 1::2 while the calling
-    thread runs parts 0::2; the worker is joined before anything returns
-    or raises, and its exception, if any, is raised here. Otherwise every
-    part runs on the calling thread.
+    or more CPUs, one worker thread runs body(m, n), m = ceil(n / 2), while
+    the calling thread runs body(0, m), and the lists are joined in that
+    order. The worker is joined before anything returns or raises, and its
+    exception, if any, is raised here.
     """
-    if (n_parts < 2 or samples < SPLIT_SAMPLES
-            or len(os.sched_getaffinity(0)) < 2):
-        return [body(i) for i in range(n_parts)]
-    odd, failed = [], []
+    if n < 2 or samples < SPLIT_SAMPLES or _cpus() < 2:
+        return body(0, n)
+    m = -(-n // 2)
+    second, failed = [], []
 
     def work():
         try:
-            odd.extend(body(i) for i in range(1, n_parts, 2))
+            second.extend(body(m, n))
         except BaseException as exc:
             failed.append(exc)
 
     worker = threading.Thread(target=work)
     worker.start()
     try:
-        even = [body(i) for i in range(0, n_parts, 2)]
+        first = body(0, m)
     finally:
         worker.join()
     if failed:
         raise failed[0]
-    out = [None] * n_parts
-    out[0::2], out[1::2] = even, odd
-    return out
+    return first + second

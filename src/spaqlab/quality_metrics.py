@@ -10,16 +10,14 @@ ssim_global scores every coding of a frame in one call and holds one
 source channel's sums at a time. The float stage runs in strips of whole
 rows of at most SSIM_STRIP window positions (at least one row), so its
 buffers do not grow with the frame. On a plane of at least
-partitioner.SPLIT_SAMPLES samples, run_parts scores every other strip
-on a worker thread with its own strip buffers; the source sums, the test
-plane's window sums in each strip and the one mean over the SSIM map
-stay as they are, so each score is the serial one.
+partitioner.SPLIT_SAMPLES samples, run_parts scores the second half of
+the strips on a worker thread, with its own strip buffers; the one mean
+over the SSIM map stays, so each score is the serial one.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -72,7 +70,6 @@ def ssim_plane(ref_plane: np.ndarray, test_plane: np.ndarray,
     rows = h - win + 1
     strip = min(max(1, SSIM_STRIP // w), rows)
     ssim_map = np.empty((rows, w - win + 1))
-    buffers = {}  # thread id -> that thread's (prod, floats)
 
     def mean(x, out):
         out[...] = x
@@ -85,53 +82,51 @@ def ssim_plane(ref_plane: np.ndarray, test_plane: np.ndarray,
     def product(x, y, prod):
         return np.multiply(x, y, dtype=np.int32, out=prod[: len(x)])
 
-    def score_strip(k):
-        """Writes the SSIM map's window rows k * strip onwards."""
+    def score_strips(lo, hi):
+        """Writes the SSIM map's window rows of strips lo..hi-1."""
         # One int32 buffer takes the test plane's products and window
         # sums, and the float stage works in place on five strip buffers
         # (fresh temporaries cost a page fault per 4 KiB), each one flat
         # span of full-width rows up to the strip's last window position:
         # a column past w - 8 sums 64 samples across a row end, and is
-        # dropped. Each thread that scores strips has its own buffers.
-        tid = threading.get_ident()
-        if tid not in buffers:
-            buffers[tid] = (np.empty((strip + win - 1, w), dtype=np.int32),
-                            np.empty((5, strip, w)))
-        prod, floats = buffers[tid]
-        r0 = k * strip
-        r1 = min(r0 + strip, rows)
-        a, b = ref_plane[r0: r1 + win - 1], test_plane[r0: r1 + win - 1]
-        o, span = r0 * w, (r1 - r0) * w - win + 1
-        f0, f1, f2, f3, f4 = floats.reshape(5, -1)[:, :span]
-        mu_a = mean(sum_a[o: o + span], f0)
-        mu_b = window_mean(b, prod, f1)
-        mu_ab = np.multiply(mu_a, mu_b, out=f4)
-        mu_aa = np.multiply(mu_a, mu_a, out=mu_a)
-        mu_bb = np.multiply(mu_b, mu_b, out=mu_b)
-        var_a = mean(sum_aa[o: o + span], f2)
-        var_a -= mu_aa
-        var_b = window_mean(product(b, b, prod), prod, f3)
-        var_b -= mu_bb
-        # the SSIM map is ((2*mu_ab + c1) * (2*cov + c2)) /
-        # ((mu_aa + mu_bb + c1) * (var_a + var_b + c2)), in that order
-        den = var_a
-        den += var_b
-        den += c2
-        cov = window_mean(product(a, b, prod), prod, var_b)
-        cov -= mu_ab
-        cov *= 2.0
-        cov += c2
-        num = mu_ab
-        num *= 2.0
-        num += c1
-        num *= cov
-        mu_aa += mu_bb
-        mu_aa += c1
-        mu_aa *= den
-        num /= mu_aa
-        ssim_map[r0: r1] = floats[4, : r1 - r0, : 1 - win]
+        # dropped.
+        prod = np.empty((strip + win - 1, w), dtype=np.int32)
+        floats = np.empty((5, strip, w))
+        for r0 in range(lo * strip, min(hi * strip, rows), strip):
+            r1 = min(r0 + strip, rows)
+            a, b = ref_plane[r0: r1 + win - 1], test_plane[r0: r1 + win - 1]
+            o, span = r0 * w, (r1 - r0) * w - win + 1
+            f0, f1, f2, f3, f4 = floats.reshape(5, -1)[:, :span]
+            mu_a = mean(sum_a[o: o + span], f0)
+            mu_b = window_mean(b, prod, f1)
+            mu_ab = np.multiply(mu_a, mu_b, out=f4)
+            mu_aa = np.multiply(mu_a, mu_a, out=mu_a)
+            mu_bb = np.multiply(mu_b, mu_b, out=mu_b)
+            var_a = mean(sum_aa[o: o + span], f2)
+            var_a -= mu_aa
+            var_b = window_mean(product(b, b, prod), prod, f3)
+            var_b -= mu_bb
+            # the SSIM map is ((2*mu_ab + c1) * (2*cov + c2)) /
+            # ((mu_aa + mu_bb + c1) * (var_a + var_b + c2)), in that order
+            den = var_a
+            den += var_b
+            den += c2
+            cov = window_mean(product(a, b, prod), prod, var_b)
+            cov -= mu_ab
+            cov *= 2.0
+            cov += c2
+            num = mu_ab
+            num *= 2.0
+            num += c1
+            num *= cov
+            mu_aa += mu_bb
+            mu_aa += c1
+            mu_aa *= den
+            num /= mu_aa
+            ssim_map[r0: r1] = floats[4, : r1 - r0, : 1 - win]
+        return []
 
-    run_parts(score_strip, -(-rows // strip), h * w)
+    run_parts(score_strips, -(-rows // strip), h * w)
     # one mean over the whole map keeps the pairwise summation order
     return float(ssim_map.mean())
 

@@ -167,12 +167,12 @@ MUTANTS = (
         ("tests/test_quality_metrics.py::test_ssim_matches_brute_force_oracle",
          "tests/test_quality_metrics.py::test_ssim_plane_equals_integral_image_expression_property",
          "tests/test_quality_metrics.py::test_ssim_plane_exact_at_near_max_12bit_samples")),
-    # run_parts hands the worker's parts back in the caller's places
+    # run_parts joins the worker's half before the caller's
     Mutant(
         "partitioner",
-        "out[0::2], out[1::2] = even, odd",
-        "out[0::2], out[1::2] = odd, even",
-        ("tests/test_split.py::test_run_parts_splits_even_and_odd_parts",
+        "return first + second",
+        "return second + first",
+        ("tests/test_split.py::test_run_parts_splits_into_two_halves",
          "tests/test_split.py::test_split_motion_field_equals_serial",
          "tests/test_split.py::test_traced_split_run_keeps_spans_and_counts")),
     # every perceptual QP offset is doubled, past the paper's windows
@@ -187,6 +187,23 @@ MUTANTS = (
          "tests/test_experiment.py::test_small_run_pinned_byte_for_byte",
          "tests/test_qp_model.py::test_build_qp_map_ablations",
          "tests/test_qp_model.py::test_build_qp_map_matches_scalar_oracle")),
+    # a CB's activity takes its busiest sub-block, not its flattest
+    Mutant(
+        "spatial_activity",
+        "quads.min(axis=(2, 4))",
+        "quads.max(axis=(2, 4))",
+        ("tests/test_experiment.py::test_ablation_run_pinned_byte_for_byte",
+         "tests/test_experiment.py::test_qpmap_and_histogram_format_pinned",
+         "tests/test_experiment.py::test_small_run_pinned_byte_for_byte",
+         "tests/test_spatial_activity.py::test_activity_map_matches_per_block_path_exactly")),
+    # report.json is indented by one space: every value is kept, so only
+    # the runs pinned byte for byte see it
+    Mutant(
+        "experiment",
+        "json.dump(payload, fh, indent=2, sort_keys=True)",
+        "json.dump(payload, fh, indent=1, sort_keys=True)",
+        ("tests/test_experiment.py::test_ablation_run_pinned_byte_for_byte",
+         "tests/test_experiment.py::test_small_run_pinned_byte_for_byte")),
 )
 
 _OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR|SKIPPED|XFAIL|XPASS) (\S+)",

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spaqlab import codec_sim, experiment, partitioner, quality_metrics
+from spaqlab import cli, codec_sim, experiment, partitioner, quality_metrics
 from spaqlab.codec_sim import encode_frame
 from spaqlab.motion_model import estimate_motion_field
 from spaqlab.partitioner import build_grid, pad_frame, run_parts
@@ -71,28 +71,37 @@ def field_of(ref, cur, grid):
     return estimate_motion_field(cur.padded[G], ref.padded[G], grid, 4)
 
 
-def test_run_parts_splits_even_and_odd_parts(monkeypatch, started):
+def test_run_parts_splits_into_two_halves(monkeypatch, started):
     monkeypatch.setattr(partitioner, "SPLIT_SAMPLES", 0)
+    caller = threading.current_thread()
     for n in range(6):
-        seen = []
-        got = run_parts(lambda i: seen.append(
-            (i, threading.current_thread())) or i * i, n, 1)
+        calls = []
+
+        def body(lo, hi):
+            calls.append((lo, hi, threading.current_thread()))
+            return [i * i for i in range(lo, hi)]
+
+        got = run_parts(body, n, 1)
         assert got == [i * i for i in range(n)]
-        caller = threading.current_thread()
-        assert all((t is caller) == (i % 2 == 0) for i, t in seen)
-    # one part runs on the caller alone
+        m = -(-n // 2)
+        if n < 2:  # one item or none runs on the caller alone
+            assert calls == [(0, n, caller)]
+        else:
+            assert sorted(calls, key=lambda c: c[0]) == [
+                (0, m, caller), (m, n, started[-1])]
     assert len(started) == 4
 
 
 @pytest.mark.parametrize("bad", [0, 1, 3])
 def test_a_failing_part_reaches_the_caller(monkeypatch, started, bad):
+    # of 5 items the caller runs 0..2 and the worker 3..4
     monkeypatch.setattr(partitioner, "SPLIT_SAMPLES", 0)
     before = threading.active_count()
 
-    def body(i):
-        if i == bad:
-            raise KeyError(i)
-        return i
+    def body(lo, hi):
+        if lo <= bad < hi:
+            raise KeyError(bad)
+        return list(range(lo, hi))
 
     with pytest.raises(KeyError, match=str(bad)):
         run_parts(body, 5, 1)
@@ -155,8 +164,43 @@ def test_one_cpu_starts_no_thread(monkeypatch, started):
     field = field_of(ref, cur, grid)
     enc = encode_frame(cur, ref, uniform_qp_map(22, grid.n_blocks), grid, field)
     ssim_global(cur, [enc.recon])
-    assert run_parts(lambda i: i, 4, 1) == [0, 1, 2, 3]
+    assert run_parts(lambda lo, hi: list(range(lo, hi)), 4, 1) == [0, 1, 2, 3]
     assert started == []
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2])
+def test_cpu_count_stands_in_where_there_is_no_affinity(monkeypatch, started,
+                                                         cpus):
+    # os.sched_getaffinity exists on Linux only; elsewhere the split
+    # follows os.cpu_count(), and None counts as one CPU
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(partitioner, "SPLIT_SAMPLES", 0)
+    monkeypatch.setattr(quality_metrics, "SSIM_STRIP", 3 * 72)
+    ref, cur, grid = moving_frames(72, 40, 10)
+
+    def layers():
+        field = field_of(ref, cur, grid)
+        enc = encode_frame(cur, ref, uniform_qp_map(22, grid.n_blocks), grid,
+                           field)
+        return (field.vectors.tolist(), enc.bits, enc.sse,
+                ssim_global(cur, [enc.recon]))
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    serial = layers()
+    assert started == []
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert layers() == serial
+    # on two CPUs, one thread each for ME, inter coding and 3 SSIM channels
+    assert len(started) == (5 if cpus == 2 else 0)
+
+
+def test_cli_runs_where_there_is_no_affinity(monkeypatch, started, tmp_path):
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli.main(["--synthetic", "mixed", "--width", "256", "--height",
+                     "256", "--frames", "2", "--qp", "22",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert started, "a 256x256 run on two CPUs split no layer"
 
 
 def test_128px_run_starts_no_thread(started, tmp_path):
