@@ -193,12 +193,12 @@ def encode_frame(frame: Frame, ref: Frame | None, qp_map: QpMap,
     recon_planes[:, :h, w:] = recon_planes[:, :h, w - 1: w]
     recon_planes[:, h:] = recon_planes[:, h - 1: h]
     recon_frame = Frame(w, h, frame.bit_depth, None, recon_planes)
-    # in strips of CB rows; |diff| <= 4095 at 12 bits, so each square is
-    # exact in int32
+    # in strips of CB rows; |diff| <= 4095 at 12 bits, so each difference
+    # is taken in int32, where its square is exact (in int16 it would wrap)
     sse = np.zeros(3, dtype=np.int64)
     for y in range(0, h, size):
         diff = np.subtract(frame.planes[:, y: y + size],
-                           recon_frame.planes[:, y: y + size])
+                           recon_frame.planes[:, y: y + size], dtype=np.int32)
         sse += np.square(diff, out=diff).sum(axis=(1, 2), dtype=np.int64)
     return EncodedFrame(recon_frame, int(channel_bits.sum()),
                         tuple(channel_bits.tolist()), tuple(sse.tolist()))

@@ -129,12 +129,16 @@ def _either(names) -> str:
 
 
 def _ramps(width, height, low, span):
-    """G, B, R ramps along x, y and the diagonal, rising from low by span."""
-    x = np.arange(width)[None, :]
-    y = np.arange(height)[:, None]
-    coord = np.stack(np.broadcast_arrays(x, y, (x + y) // 2))
-    peak = np.maximum(coord.max(axis=(1, 2), keepdims=True), 1)
-    return (low + (coord * span) // peak).astype(np.int32)
+    """G, B, R ramps along x, y and the diagonal, rising from low by span:
+    an int16 (3, height, width) array filled from three 1-D tables."""
+    def ramp(n):  # low + k * span // (n - 1) at k = 0 .. n - 1
+        return (low + np.arange(n) * span // max(n - 1, 1)).astype(np.int16)
+    # R at (y, x) is step (x + y) // 2 of the diagonal: row y of R reads
+    # the table, each step repeated twice, from entry y on
+    diagonal = ramp((width + height) // 2)[np.arange(width + height - 1) // 2]
+    r = np.lib.stride_tricks.sliding_window_view(diagonal, width)
+    return np.stack(np.broadcast_arrays(ramp(width)[None, :],
+                                        ramp(height)[:, None], r))
 
 
 def moving_patch_rect(width, height, frames, shift, n):
@@ -176,7 +180,7 @@ def _draw_frames(kind, width, height, frames, bit_depth, seed, shift):
         # ranges draw 32 bits per sample and PCG64 keeps the unused half
         # of a 64-bit output across calls
         return rng.integers(lo, hi + 1, (3, h, w), dtype=np.int64
-                            ).astype(np.int32)
+                            ).astype(np.int16)
 
     def texture(h, w):
         return uniform(mid - amp, mid + amp, h, w)
@@ -195,8 +199,9 @@ def _draw_frames(kind, width, height, frames, bit_depth, seed, shift):
     elif kind == "gradient":
         bases = _ramps(width, height, low, max(1, maxv - 2 * low - frames))
         for n in range(frames):
-            # the brightening saturates once a long run reaches maxv
-            yield frame(np.minimum(bases + n, maxv))
+            # the brightening saturates once a long run reaches maxv;
+            # bases lie in [0, maxv], so int16 holds every sum
+            yield frame(np.minimum(bases + min(n, maxv), maxv))
     elif kind == "moving-texture":
         bgs = _ramps(width, height, low, maxv // 4)
         patch = moving_patch_rect(width, height, frames, shift, 0)[2]

@@ -5,11 +5,13 @@ search on the G plane at integer-sample precision, pruned exactly by
 successive elimination; the vector is shared by all three channel
 prediction blocks. A vector (x, y) points in the direction of content
 motion: the matched reference block sits at (px - x, py - y) for a PU
-at (px, py). SADs are taken SAD_PASS window samples at a time, in int16
-temporaries of at most that size, and summed exactly in int32. On a
-plane large enough for partitioner.run_parts to split, the second half
-of the PUs, in raster order, is searched on a worker thread; each PU's
-search reads no other PU, so the field is the serial one.
+at (px, py). A frame's int16 planes are searched in place: each group's
+cut to its search area is a view, so groups that share rows copy none.
+SADs are taken SAD_PASS window samples at a time, in int16 temporaries
+of at most that size, and summed exactly in int32. On a plane large
+enough for partitioner.run_parts to split, the second half of the PUs,
+in raster order, is searched on a worker thread; each PU's search reads
+no other PU, so the field is the serial one.
 """
 
 from __future__ import annotations
@@ -119,7 +121,8 @@ def block_match(cur: np.ndarray, ref: np.ndarray, pus,
     whose quadrant-sum lower bound exceeds U, the smaller SAD of the zero
     vector and of the lowest-bound candidate, can neither reach nor tie
     the minimum, so only the others get a full SAD. One vectorised pass
-    over the planes, cut to the group's joint search area, bounds every
+    over the planes, cut to the group's joint search area (a view of
+    int16 planes; planes of another integer type are cast), bounds every
     PU, one gathered SAD call gives every U, and the survivors of all
     pruned PUs are scored together. A PU with more than half its
     candidates surviving (noise-like content) scores all of them from
@@ -140,7 +143,8 @@ def block_match(cur: np.ndarray, ref: np.ndarray, pus,
     yx = np.array([(pu.y, pu.x) for pu in pus])
     # the cut ends r past every PU or at the plane's edge, so it clips alike
     lo, hi = np.maximum(yx.min(0) - r, 0), np.minimum(yx.max(0) + n + r, (h, w))
-    cur, ref = (p[lo[0]: hi[0], lo[1]: hi[1]].astype(np.int16) for p in (cur, ref))
+    cur, ref = (p[lo[0]: hi[0], lo[1]: hi[1]].astype(np.int16, copy=False)
+                for p in (cur, ref))
     (h, w), (ys, xs) = ref.shape, (yx - lo).T
     windows = sliding_window_view(ref, (n, n))
     blocks = sliding_window_view(cur, (n, n))[ys, xs]

@@ -9,7 +9,8 @@ For every CB and channel:
 A is the frame-normalized texture measure: A = 1 when g equals the frame
 mean, and A is confined to [1/s, s] for any input. Variances are
 population variances (divide by the sample count) accumulated in exact
-integer arithmetic and converted to float only for the final division.
+integer arithmetic (a frame's int16 samples squared in int32, summed in
+int64) and converted to float only for the final division.
 """
 
 from __future__ import annotations
@@ -56,9 +57,11 @@ def compute_activity_map(frame: Frame, grid: BlockGrid) -> ActivityMap:
     padded = pad_frame(frame, grid).padded
     rows, cols = padded.shape[1] // half, padded.shape[2] // half
     tiles = padded.reshape(3, rows, half, cols, half)
-    # a 12-bit square fits in int32; the sums are exact in int64
+    # the int16 samples are squared in int32, where a 12-bit square fits;
+    # the sums are exact in int64
     s1 = tiles.sum(axis=(2, 4), dtype=np.int64)
-    s2 = (tiles * tiles).sum(axis=(2, 4), dtype=np.int64)
+    s2 = np.multiply(tiles, tiles, dtype=np.int32).sum(axis=(2, 4),
+                                                       dtype=np.int64)
     n = half * half
     var = (n * s2 - s1 * s1).astype(np.float64) / float(n * n)
     # min over each CB's 2x2 group of sub-block variances

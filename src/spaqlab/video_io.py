@@ -46,14 +46,16 @@ def sample_dtype(bit_depth: int) -> np.dtype:
 class Frame:
     """One picture: its G, B and R samples as one (3, height, width) array.
 
-    planes is int32, indexed channel first (planes[G] is the G plane); a
+    planes is int16, indexed channel first (planes[G] is the G plane); a
     sequence of three (height, width) planes is stacked into one
-    C-contiguous array. Other dtypes are rejected, since the codec subtracts
-    samples and a narrow unsigned type would wrap, and so is any sample
-    outside the bit depth. A padded frame (pad_frame, every reconstruction)
-    is made from padded alone, not rescanned: a C-contiguous int32 (3, H, W)
-    pad_plane of a checked frame, or clipped samples, at a grid's padded
-    size, with planes its top-left (height, width) corner, a view.
+    C-contiguous array. Samples of any integer dtype are range-checked in
+    that dtype against the bit depth, then cast once (not copied when
+    already int16): a 12-bit sample, and any difference of two, fits in
+    int16. Floats, bools and samples outside the bit depth are rejected.
+    A padded frame (pad_frame, every reconstruction) is made from padded
+    alone, not rescanned: a C-contiguous int16 (3, H, W) pad_plane of a
+    checked frame, or clipped samples, at a grid's padded size, with
+    planes its top-left (height, width) corner, a view.
     """
 
     width: int
@@ -69,18 +71,25 @@ class Frame:
             raise ValueError(f"unsupported bit depth {self.bit_depth}")
         if self.padded is not None and self.planes is not None:
             raise ValueError("a frame is made from planes or padded, not both")
-        planes = (np.ascontiguousarray(self.planes) if self.padded is None
-                  else self.padded[:, : self.height, : self.width])
+        if self.padded is None:
+            planes = np.asarray(self.planes)
+            if planes.dtype.kind not in "iu":
+                raise ValueError(f"samples must be integers, got {planes.dtype}")
+            # checked in their own dtype, so no sample wraps before its check
+            if planes.size and (int(planes.min()) < 0
+                                or int(planes.max()) > self.max_value):
+                raise ValueError("sample outside [0, 2^bit_depth - 1]")
+            planes = np.ascontiguousarray(planes, dtype=np.int16)
+        elif self.padded.dtype != np.int16:
+            raise ValueError(
+                f"a padded store must be int16, got {self.padded.dtype}")
+        else:
+            planes = self.padded[:, : self.height, : self.width]
         object.__setattr__(self, "planes", planes)
-        if planes.dtype != np.int32:
-            raise ValueError(f"samples must be int32, got {planes.dtype}")
         if planes.shape != (3, self.height, self.width):
             raise ValueError(
                 f"planes shape {planes.shape} != (3, {self.height}, {self.width})"
             )
-        if self.padded is None and planes.size and (
-                int(planes.min()) < 0 or int(planes.max()) > self.max_value):
-            raise ValueError("sample outside [0, 2^bit_depth - 1]")
 
     @property
     def max_value(self) -> int:
@@ -173,13 +182,12 @@ def _read_frames(path, width, height, bit_depth, frames):
 
 def _read_frame(fh, path, n, width, height, bit_depth) -> Frame:
     raw = np.fromfile(fh, dtype=sample_dtype(bit_depth),
-                      count=3 * width * height)
-    planes = raw.astype(np.int32).reshape(3, height, width)
-    try:  # Frame checks every sample against the bit depth
-        return Frame(width, height, bit_depth, planes)
+                      count=3 * width * height).reshape(3, height, width)
+    try:  # Frame checks every raw sample against the bit depth, uncast
+        return Frame(width, height, bit_depth, raw)
     except ValueError:
         raise RawFormatError(
-            f"{path}: frame {n} holds sample {int(planes.max())}, above "
+            f"{path}: frame {n} holds sample {int(raw.max())}, above "
             f"the {bit_depth}-bit maximum {(1 << bit_depth) - 1}") from None
 
 

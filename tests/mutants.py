@@ -125,11 +125,13 @@ MUTANTS = (
     # a frame made from planes is not checked against its bit depth
     Mutant(
         "video_io",
-        "if self.padded is None and planes.size and (",
-        "if False and (",
+        "if planes.size and (int(planes.min()) < 0",
+        "if False and (int(planes.min()) < 0",
         ("tests/test_experiment.py::test_cli_late_sample_above_the_bit_depth_rejected",
          "tests/test_experiment.py::test_cli_sample_above_the_bit_depth_rejected",
+         "tests/test_video_io.py::test_frame_rejects_samples_int16_would_not_hold",
          "tests/test_video_io.py::test_frame_validation",
+         "tests/test_video_io.py::test_raw_sample_named_by_its_true_value",
          "tests/test_video_io.py::test_sample_above_the_bit_depth_rejected")),
     # each intra anti-diagonal loses its lowest CB, so the left column and
     # bottom row go uncoded and stay 0
@@ -204,6 +206,26 @@ MUTANTS = (
         "json.dump(payload, fh, indent=1, sort_keys=True)",
         ("tests/test_experiment.py::test_ablation_run_pinned_byte_for_byte",
          "tests/test_experiment.py::test_small_run_pinned_byte_for_byte")),
+    # the SSE squares int16 differences in int16, which wrap past 181
+    Mutant(
+        "codec_sim",
+        "recon_frame.planes[:, y: y + size], dtype=np.int32)",
+        "recon_frame.planes[:, y: y + size])",
+        ("tests/test_codec_sim.py::test_sse_exact_at_the_12bit_extremes",
+         "tests/test_codec_sim.py::test_sse_exact_on_full_range_noise",
+         "tests/test_experiment.py::test_12bit_64px_noise_run_pinned",
+         "tests/test_experiment.py::test_ablation_run_pinned_byte_for_byte")),
+    # the activity squares int16 samples in int16, which wrap past 181
+    Mutant(
+        "spatial_activity",
+        "np.multiply(tiles, tiles, dtype=np.int32)",
+        "np.multiply(tiles, tiles)",
+        ("tests/test_experiment.py::test_ablation_run_pinned_byte_for_byte",
+         "tests/test_experiment.py::test_qpmap_and_histogram_format_pinned",
+         "tests/test_experiment.py::test_small_run_pinned_byte_for_byte",
+         "tests/test_spatial_activity.py::test_activity_exact_at_the_12bit_extremes",
+         "tests/test_spatial_activity.py::test_activity_map_matches_per_block_path_exactly",
+         "tests/test_spatial_activity.py::test_shift_invariance_is_exact")),
 )
 
 _OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR|SKIPPED|XFAIL|XPASS) (\S+)",

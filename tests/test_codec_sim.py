@@ -418,6 +418,28 @@ def test_sse_exact_on_full_range_noise(bit_depth):
         frame, None, uniform_qp_map(51, grid.n_blocks), grid))
 
 
+@pytest.mark.parametrize("inter", [False, True])
+def test_sse_exact_at_the_12bit_extremes(monkeypatch, inter):
+    # no QP leaves a residual of 4,095, so the inverse transform is made to
+    # push every reconstruction down to 0: each 4,095 source sample then
+    # adds 4,095^2 = 16,769,025 to its channel's SSE, which an int16
+    # square would wrap
+    rng = np.random.default_rng(4095)
+    frame = Frame(72, 40, 12, rng.choice([0, 4095], (3, 40, 72)))
+    grid = build_grid(72, 40, 1)
+    ref = encode_frame(frame, None, uniform_qp_map(22, grid.n_blocks),
+                       grid).recon if inter else None
+    field = motion_field(np.zeros((grid.n_blocks, 2), int)) if inter else None
+    monkeypatch.setattr("spaqlab.codec_sim.idct2",
+                        lambda coeffs: np.full(coeffs.shape, -2.0**20))
+    enc = encode_frame(frame, ref, uniform_qp_map(22, grid.n_blocks), grid,
+                       field)
+    assert not enc.recon.planes.any()
+    ones = (frame.planes == 4095).sum(axis=(1, 2), dtype=np.int64)
+    assert enc.sse == tuple((ones * 4095**2).tolist())
+    check_encoded(frame, enc)
+
+
 @settings(deadline=None, max_examples=40)
 @given(coding_cases())
 def test_encode_frame_invariants_property(case):

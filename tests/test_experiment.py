@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -27,6 +28,7 @@ from spaqlab.experiment import (
     _qpmap_csv,
     emit,
     gen_synthetic,
+    input_frames,
     run,
     run_cell,
 )
@@ -34,7 +36,7 @@ from spaqlab.motion_model import estimate_motion_field
 from spaqlab.partitioner import CB_SIZE_BY_DEPTH, build_grid, pad_plane
 from spaqlab.qp_model import CLAMP_SCOPES, QP_MAX, QP_MIN, qp_to_qstep
 from spaqlab.spatial_activity import compute_activity_map
-from spaqlab.video_io import (G, SUPPORTED_BIT_DEPTHS, RawFormatError,
+from spaqlab.video_io import (G, SUPPORTED_BIT_DEPTHS, Frame, RawFormatError,
                               Sequence, frame_byte_size, write_raw)
 
 
@@ -265,6 +267,22 @@ def test_long_gradient_saturates(bit_depth, frames):
     assert all(a <= b for a, b in zip(tops, tops[1:]))
 
 
+def test_gradient_frame_past_the_int16_range():
+    # frame 32,800 brightens by more than int16 holds: it saturates as the
+    # int64 formula of the ramps plus the frame index does
+    cfg = ExperimentConfig(synthetic="gradient", width=16, height=16,
+                           frames=32_801, bit_depth=12)
+    frame = next(itertools.islice(input_frames(cfg), 32_800, None))
+    maxv, low = 4095, 4095 // 16
+    span = max(1, maxv - 2 * low - cfg.frames)
+    x, y = np.arange(16)[None, :], np.arange(16)[:, None]
+    coord = np.stack(np.broadcast_arrays(x, y, (x + y) // 2)).astype(np.int64)
+    peak = np.maximum(coord.max(axis=(1, 2), keepdims=True), 1)
+    want = np.minimum(low + coord * span // peak + 32_800, maxv)
+    assert frame.planes.dtype == np.int16
+    assert np.array_equal(frame.planes, want)
+
+
 @pytest.mark.parametrize("kind", ["mixed", "noise", "gradient"])
 def test_narrow_frames_generate_and_run(kind):
     # below width 13, mixed's moving-patch column is clamped at 0
@@ -484,10 +502,37 @@ def test_run_pads_each_source_once_and_searches_stored_reconstructions(
 
 
 @pytest.mark.parametrize("open_loop_me", [False, True])
+@pytest.mark.parametrize("source", ["synthetic", "raw"])
+def test_every_frame_a_run_builds_is_contiguous_int16(tmp_path, monkeypatch,
+                                                      source, open_loop_me):
+    # sources, their padded stores and every reconstruction: 72x40 pads to
+    # 96x64 at CB 32, so each padded store is a frame of its own
+    kw = dict(width=72, height=40, cb_depth=1, modes=experiment.MODES,
+              open_loop_me=open_loop_me, seed=2)
+    if source == "raw":
+        path = tmp_path / "in.rgb"
+        write_raw(gen_synthetic("mixed", 72, 40, 3, 10, seed=2), path)
+        kw |= dict(synthetic=None, input_path=str(path), bit_depth=10)
+    cfg = small_cfg(**kw)
+    built = []
+    real = Frame.__post_init__
+    monkeypatch.setattr(Frame, "__post_init__",
+                        lambda self: real(self) or built.append(self))
+    run(cfg)
+    sources = [f for f in built if f.padded is None]
+    stores = [f.padded for f in built if f.padded is not None]
+    assert len(sources) == cfg.frames
+    # a padded store per source, and at least one reconstruction per frame
+    assert len(stores) >= 2 * cfg.frames
+    for samples in [f.planes for f in sources] + stores:
+        assert samples.dtype == np.int16 and samples.flags.c_contiguous
+
+
+@pytest.mark.parametrize("open_loop_me", [False, True])
 def test_run_peak_memory_does_not_grow_with_the_frame_count(tmp_path,
                                                             open_loop_me):
     # a padded 10-bit raw input (200x120 pads to 224x128 at CB 32): the
-    # traced peak of 8 frames is within one int32 frame of that of 2
+    # traced peak of 8 frames is within one int16 frame of that of 2
     width, height = 200, 120
     path = tmp_path / "in.rgb"
     write_raw(gen_synthetic("moving-texture", width, height, 8, 10), path)
@@ -505,7 +550,7 @@ def test_run_peak_memory_does_not_grow_with_the_frame_count(tmp_path,
             tracemalloc.stop()
 
     peak(2)  # fills the caches a first run fills
-    assert peak(8) - peak(2) < 3 * width * height * 4
+    assert peak(8) - peak(2) < 3 * width * height * 2
 
 
 def watch_motion_searches(monkeypatch, check):

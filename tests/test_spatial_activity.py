@@ -156,3 +156,22 @@ def test_activity_map_matches_per_block_path_exactly(case):
         assert amap.g[ch].tolist() == gs
         assert amap.m[ch] == m
         assert amap.a[ch].tolist() == [normalized_activity(g, m) for g in gs]
+
+
+def test_activity_exact_at_the_12bit_extremes():
+    # sub-blocks of 0 and 4,095, whose square 16,769,025 an int16 square
+    # would wrap: the map must equal the int64 scalar oracles
+    rng = np.random.default_rng(12)
+    planes = np.zeros((3, 64, 64), dtype=np.int64)
+    planes[0, ::2, 1::2] = planes[0, 1::2, ::2] = 4095  # a checkerboard
+    planes[1] = 4095
+    planes[2] = rng.choice([0, 4095], (64, 64))
+    frame = Frame(64, 64, 12, planes)
+    grid = build_grid(64, 64, 1)
+    amap = compute_activity_map(frame, grid)
+    for ch in range(3):
+        gs = [cb_activity(planes[ch], cb) for cb in grid.blocks]
+        assert amap.g[ch].tolist() == gs
+        m = frame_mean_activity(gs)
+        assert amap.a[ch].tolist() == [normalized_activity(g, m) for g in gs]
+    assert amap.g[0].tolist() == [1.0 + 4095**2 / 4] * grid.n_blocks

@@ -97,7 +97,7 @@ def test_round_trip(tmp_path, bit_depth, dims):
     assert len(back.frames) == 3
     for f1, f2 in zip(seq.frames, back.frames):
         assert f2.planes.shape == (3, h, w)
-        assert f2.planes.dtype == np.int32 and f2.planes.flags.c_contiguous
+        assert f2.planes.dtype == np.int16 and f2.planes.flags.c_contiguous
         for p1, p2 in zip(f1.planes, f2.planes):
             assert np.array_equal(p1, p2)
 
@@ -179,9 +179,50 @@ def test_frame_validation():
     with pytest.raises(ValueError, match="^a frame is made from planes or "
                        "padded, not both$"):
         Frame(2, 2, 8, (good, good, good), np.zeros((3, 2, 2), np.int32))
-    # any dtype but int32: uint8 samples would wrap in the codec's src - pred
-    for dtype in (np.uint8, np.uint16, np.int64):
-        with pytest.raises(ValueError, match="int32"):
-            Frame(2, 2, 8, np.zeros((3, 2, 2), dtype=dtype))
     with pytest.raises(ValueError):
         Sequence([])
+
+
+@pytest.mark.parametrize("bit_depth, dtype", [
+    (8, np.uint8), (12, np.uint16), (12, np.int16), (12, np.int32),
+    (12, np.int64)])
+def test_frame_stores_in_range_integer_planes_as_int16(bit_depth, dtype):
+    top = (1 << bit_depth) - 1
+    planes = np.array([[[0, 1, top], [top - 1, 2, 0]]] * 3, dtype=dtype)
+    frame = Frame(3, 2, bit_depth, planes)
+    assert frame.planes.dtype == np.int16 and frame.planes.flags.c_contiguous
+    assert np.array_equal(frame.planes, planes)
+    # int16 planes are taken as they are, not copied
+    assert np.shares_memory(frame.planes, planes) == (dtype is np.int16)
+
+
+def test_frame_rejects_samples_int16_would_not_hold():
+    # 70,000 is checked as an int64: cast first, it would wrap to 4,464,
+    # a valid 12-bit sample
+    planes = np.zeros((3, 2, 2), np.int64)
+    planes[2, 1, 1] = 70_000
+    assert planes.astype(np.int16)[2, 1, 1] == 4_464
+    with pytest.raises(ValueError, match=r"^sample outside \[0, 2\^bit_depth"):
+        Frame(2, 2, 12, planes)
+    for dtype in (np.float64, np.float32, np.bool_):
+        with pytest.raises(ValueError, match="^samples must be integers, got "
+                           f"{np.dtype(dtype)}$"):
+            Frame(2, 2, 8, np.zeros((3, 2, 2), dtype=dtype))
+    # a padded store is taken unchecked, so it must be int16 already
+    with pytest.raises(ValueError, match="^a padded store must be int16, "
+                       "got int32$"):
+        Frame(2, 2, 8, None, np.zeros((3, 2, 2), np.int32))
+    assert Frame(2, 2, 8, None, np.zeros((3, 2, 2), np.int16)).planes.shape \
+        == (3, 2, 2)
+
+
+def test_raw_sample_named_by_its_true_value(tmp_path):
+    # 40,000 in a 10-bit file: named as read, not as an int16 would wrap it
+    path = tmp_path / "big.rgb"
+    samples = np.zeros(3 * 2 * 2, "<u2")
+    samples[5] = 40_000
+    samples.tofile(path)
+    with pytest.raises(RawFormatError) as err:
+        load_raw(path, 2, 2, 10)
+    assert str(err.value).splitlines() == [
+        f"{path}: frame 0 holds sample 40000, above the 10-bit maximum 1023"]
